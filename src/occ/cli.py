@@ -158,6 +158,9 @@ def _validate_task(task):
         for fieldname in _ACTION_FIELDS[op]:
             if fieldname not in act:
                 raise TaskError(f"action {idx} ({op}): missing field {fieldname!r}")
+        for fieldname in ("i", "j", "k"):
+            if fieldname in _ACTION_FIELDS[op] and type(act[fieldname]) is not int:
+                raise TaskError(f"action {idx} ({op}): field {fieldname!r} must be an integer")
         if "bundle" in _ACTION_FIELDS[op] and act["bundle"] not in bundles:
             raise TaskError(f"action {idx} ({op}): unknown bundle {act['bundle']!r}")
     output = task.get("output", "text")
@@ -169,7 +172,7 @@ def _validate_task(task):
 def _action_result(act, law, ctx, env, bundles, rings):
     op = act["op"]
     if op == "coefficient":
-        return law.coefficient(int(act["i"]), int(act["j"]))
+        return law.coefficient(act["i"], act["j"])
     if op == "expr":
         return evaluate(act["expr"], env, law, ctx)
     if op == "check-axioms":
@@ -177,9 +180,9 @@ def _action_result(act, law, ctx, env, bundles, rings):
     if op == "inverse":
         return law.formal_inverse()
     if op == "n-series":
-        return law.formal_sum_n(int(act["k"]))
+        return law.formal_sum_n(act["k"])
     if op == "chern":
-        return bundles[act["bundle"]].chern(int(act["k"]))
+        return bundles[act["bundle"]].chern(act["k"])
     if op == "euler":
         return bundles[act["bundle"]].euler()
     if op == "total-chern":
@@ -372,6 +375,18 @@ def cmd_pbf(args) -> int:
 # -- argument parsing ----------------------------------------------------------------
 
 
+def _int_at_least(low):
+    """An argparse type for integers >= `low`; anything else exits 2."""
+
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="occ",
@@ -385,24 +400,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run a named identity suite")
     p.add_argument("suite", choices=SUITES)
-    p.add_argument("--trunc", type=int, default=6, help="truncation order (default 6)")
+    p.add_argument("--trunc", type=_int_at_least(1), default=6, help="truncation order (default 6)")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("grr", help="Riemann-Roch check on P^(r-1) for O(k)")
-    p.add_argument("r", type=int)
+    p.add_argument("r", type=_int_at_least(2))
     p.add_argument("k", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_grr)
 
     p = sub.add_parser("chi", help="K-theory Euler characteristic vs the binomial oracle")
-    p.add_argument("r", type=int)
+    p.add_argument("r", type=_int_at_least(1))
     p.add_argument("k", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_chi)
 
     p = sub.add_parser("cf", help="Conner-Floyd specialization battery")
-    p.add_argument("--trunc", type=int, default=6)
+    p.add_argument("--trunc", type=_int_at_least(1), default=6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_cf)
@@ -411,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--law", choices=LAW_KINDS, default="universal")
     p.add_argument(
         "--trunc",
-        type=int,
+        type=_int_at_least(1),
         default=None,
         help="truncation order (default 5 for universal, 6 otherwise)",
     )
@@ -420,14 +435,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tower", help="classes of the standard projective-line tower")
     p.add_argument("--law", choices=LAW_KINDS, default="universal")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--trunc", type=int, default=6)
+    p.add_argument("--depth", type=_int_at_least(0), required=True)
+    p.add_argument("--trunc", type=_int_at_least(1), default=6)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_tower)
 
     p = sub.add_parser("pbf", help="reduce or push forward a t-polynomial on P(E)")
     p.add_argument("--law", choices=LAW_KINDS, default="additive")
-    p.add_argument("--trunc", type=int, default=6)
+    p.add_argument("--trunc", type=_int_at_least(1), default=6)
     p.add_argument("--roots", required=True, help="comma-separated root expressions")
     p.add_argument("--element", required=True, help="a t-polynomial expression")
     p.add_argument("--action", choices=("reduce", "pushforward"), required=True)

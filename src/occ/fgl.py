@@ -107,6 +107,13 @@ class FormalGroupLaw:
     def sum_n_at(self, n: int, s: Series) -> Series:
         return self.formal_sum_n(n).substitute({self.x: s}, into=s.context)
 
+    def invariant_differential(self) -> Series:
+        """w(x) = 1 / (dF/dy)(x, 0), so that w(x) dx is the invariant differential.
+
+        Exact through weight N-1: the y-linear part of F stops at x^(N-1).
+        """
+        return invert_unit(self.F.partial_coefficient({self.y: 1}))
+
     def log(self) -> Series:
         """The logarithm l(x) with l(F(x, y)) = l(x) + l(y), rational mode only.
 
@@ -118,15 +125,8 @@ class FormalGroupLaw:
         ctx = self.context
         if ctx.mode != RATIONALS:
             raise RequiresRationals("requires rational coefficients")
-        iy = ctx.index(self.y)
         ix = ctx.index(self.x)
-        # dF/dy at y = 0: the y-linear part of F
-        dy = {}
-        for m, c in self.F.terms.items():
-            if m[iy] == 1:
-                key = tuple(0 if i == iy else e for i, e in enumerate(m))
-                dy[key] = c
-        g = invert_unit(Series(ctx, dy, _trusted=True))
+        g = self.invariant_differential()
         ell = {}
         for m, c in g.terms.items():
             key = tuple(e + 1 if i == ix else e for i, e in enumerate(m))

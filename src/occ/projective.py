@@ -10,18 +10,20 @@ which is weight-homogeneous of weight r with leading coefficient (-1)^r.
 `reduce` rewrites t^r via f and so normalizes every element to t-degree < r;
 towers of projective bundles chain the rewriting level by level.
 
-`pushforward` implements the Gysin map along P(E) -> X by the residue
-formula: with formal roots xh_i and tau_i = iota(xh_i),
+`pushforward` implements the Gysin map along P(E) -> X by Quillen's residue
+formula pi_!(p) = Res_t p(t) w(t) / prod_j F(t, x_j), w = 1 / F_y(t, 0).
+With tau = iota(x) and F(t, iota(tau)) = (t - tau) U(t, tau) it reads
 
-    pi_!(p) = sum_i p(tau_i) * prod_{j != i} F(tau_i, iota(tau_j))^{-1}.
+    pi_!(t^k) = sum_j [t^j](t^k w(t) exp(-sum_b l_b(t) p_b)) h_{j-r+1},
 
-Each pairwise factor F(iota(xh_i), xh_j) is (xh_j - xh_i) times a unit, so
-the sum is assembled over a common Vandermonde denominator, divided exactly,
-rewritten in the elementary symmetric functions of the formal roots, and only
-then specialized at the actual roots.  That order of operations is what makes
-repeated (or zero) roots legal.  The division lowers nilpotent weight by the
-Vandermonde weight r(r-1)/2, so the computation runs at a truncation order
-raised by exactly that margin and restricts back afterwards.
+where log U(t, tau) = sum_b l_b(t) tau^b and p_b, h_m are the power sums
+and complete symmetric functions of the tau_j, both polynomials in the dual
+Chern classes e_i = c_i(E*).  So pi_!(t^k), k < r, is a per-law template in
+e_1..e_r (`pushforward_template`) into which a ring substitutes its own
+classes; higher powers follow from the relation in the base ring.  Nothing
+is reduced upstairs first, so the pushforward of a polynomial of any
+t-degree is exact through the truncation weight N, repeated and zero roots
+included.
 """
 
 from __future__ import annotations
@@ -34,29 +36,62 @@ from .series import (
     Context,
     ContextMismatch,
     NotDivisible,
-    NotSymmetric,
+    RATIONALS,
     Series,
     Var,
-    elementary_symmetric,
     exact_divide,
+    exp_of,
     first_difference,
     invert_unit,
-    symmetric_reduce,
+    log1p_of,
 )
 from .bundles import SplitBundle
 from .reports import CheckItem, Report
 
 
-def _fresh_names(base, count, taken):
-    out = []
-    taken = set(taken)
-    for i in range(1, count + 1):
-        name = f"{base}{i}"
-        while name in taken:
-            name = "_" + name
-        taken.add(name)
-        out.append(name)
-    return out
+def pushforward_template(law, N, r, k) -> Series:
+    """pi_!(t^k), k < r, on the P(E) of any rank-r bundle as a polynomial in c_i(E*).
+
+    The result lives over variables e1..er (e_i = c_i(E*), nilpotent of
+    weight i) and the law's generators at truncation N, and is exact there:
+    U and w are exact one weight below the law's order, and the pushforward
+    lowers weight by r - 1, so they are expanded with the law at N + r.  All
+    k < r are built together and cached on that law.
+    """
+    hi = law.at_truncation(N + r)
+    key = ("pushforward", N, r)
+    if key not in hi._templates:
+        ctx = hi.context
+        M = N + r - 1
+        gens = tuple(v for v in ctx.variables if v.name in hi.coefficient_names)
+        evars = tuple(Var(f"e{i}", i, True) for i in range(1, r + 1))
+        # t is the law's x, tau its y; log and exp need rationals
+        lw = Context(ctx.variables, M, RATIONALS)
+        work = Context((Var(hi.x, 1, True),) + evars + gens, M, RATIONALS)
+        tmpl = Context(evars + gens, N, RATIONALS)
+        x, y = ctx.var(hi.x), ctx.var(hi.y)
+        log_u = log1p_of(exact_divide(hi.apply(x, hi.inverse_at(y)), x - y).to_context(lw) - 1)
+        e = [work.one()] + [work.var(v.name) for v in evars]
+        power_sums = [None]
+        exponent = work.zero()
+        for b in range(1, M + 1):
+            # Newton: p_b = sum_{i<b} (-1)^(i-1) e_i p_{b-i} + (-1)^(b-1) b e_b
+            p_b = e[b] * ((-1) ** (b - 1) * b) if b <= r else work.zero()
+            for i in range(1, min(b - 1, r) + 1):
+                p_b = p_b + e[i] * power_sums[b - i] * (-1) ** (i - 1)
+            power_sums.append(p_b)
+            exponent = exponent + log_u.partial_coefficient({hi.y: b}).to_context(work) * p_b
+        A = hi.invariant_differential().to_context(work) * exp_of(-exponent)
+        # Res_t t^j / prod_i (t - tau_i) = h_{j-r+1} follows the relation's recursion
+        et = [tmpl.one()] + [tmpl.var(v.name) for v in evars]
+        hs = [tmpl.zero()] * (r - 1) + [tmpl.one()]
+        _extend_by_relation([et[r - i] * (-1) ** i for i in range(r + 1)], hs, M)
+        coeffs = [A.partial_coefficient({hi.x: d}).to_context(tmpl) for d in range(M + 1)]
+        hi._templates[key] = [
+            sum((c * hs[d + j] for d, c in enumerate(coeffs) if d + j <= M), tmpl.zero())
+            for j in range(r)
+        ]
+    return hi._templates[key][k]
 
 
 class ProjBundleRing:
@@ -79,7 +114,8 @@ class ProjBundleRing:
         self.base = base
         self.parent_context = bundle.context
         self.context = bundle.context.extend([Var(t, 1, True)])
-        coeffs = bundle.relation_coefficients(self.context)
+        self._base_coefficients = bundle.relation_coefficients()
+        coeffs = [self.lift(a) for a in self._base_coefficients]
         ts = self.context.var(t)
         rel = self.context.zero()
         for i, a in enumerate(coeffs):
@@ -150,106 +186,31 @@ class ProjBundleRing:
     def pushforward(self, p: Series) -> Series:
         """Gysin pushforward to the base ring by the residue formula.
 
-        The map is linear over the base, so the residue machinery runs once
-        per ring on the monomial basis 1, t, ..., t^{r-1} (cached on the
-        instance); a general element is reduced, split by t-degree, and
-        assembled from the basis images.
+        The map is linear over the base: p is split by t-degree and assembled
+        from the images of t^k, which are exact through weight N, so the
+        result is exact through weight N for any polynomial p.  Rank one is
+        evaluation at t = iota(x).
         """
-        law = self.law
-        r = self.rank
+        if p.context != self.context:
+            raise ContextMismatch("incompatible contexts")
         parent = self.parent_context
-        p = self.reduce(p)
-        if r == 1:
-            tau = law.inverse_at(self.bundle.roots[0])
-            return self._reduce_parent(p.substitute({self.t: tau}, into=parent))
-        images = self._basis_images()
-        split = [dict() for _ in range(r)]
+        r = self.rank
+        a = self._base_coefficients
+        if r == 1:  # evaluate at t = a_0 = c_1(E*) = iota(x)
+            return self._reduce_parent(self.reduce(p).substitute({self.t: a[0]}, into=parent))
+        split = {}
         for m, c in p.terms.items():
-            split[m[-1]][m[:-1]] = c
+            split.setdefault(m[-1], {})[m[:-1]] = c
+        if self._images is None:
+            templates = [pushforward_template(self.law, parent.truncation, r, k) for k in range(r)]
+            # e_i = c_i(E*) = (-1)^(r-i) a_{r-i}
+            mapping = {f"e{i}": a[r - i] * (-1) ** (r - i) for i in range(1, r + 1)}
+            self._images = [tk.substitute(mapping, into=parent) for tk in templates]
+        _extend_by_relation(a, self._images, max(split, default=0))
         out = parent.zero()
-        for k in range(r):
-            if split[k]:
-                out = out + Series(parent, split[k], _trusted=True) * images[k]
+        for k, sub in sorted(split.items()):
+            out = out + Series(parent, sub, _trusted=True) * self._images[k]
         return self._reduce_parent(out)
-
-    def _basis_images(self):
-        """pi_!(t^k) for k < rank, each computed by the residue formula."""
-        if self._images is not None:
-            return self._images
-        law = self.law
-        r = self.rank
-        parent = self.parent_context
-        # the Vandermonde division lowers weight by margin; the pairwise unit
-        # factors each lose one more weight to their own binomial division
-        margin = r * (r - 1) // 2
-        order = parent.truncation + margin + 1
-        law_w = law.at_truncation(order)
-        xh = _fresh_names("xh", r, parent.names)
-        ch = _fresh_names("ch", r, list(parent.names) + xh)
-        wctx = Context(
-            parent.variables
-            + tuple(Var(n, 1, True) for n in xh)
-            + tuple(Var(n, k + 1, True) for k, n in enumerate(ch)),
-            order,
-            parent.mode,
-        )
-        xs = [wctx.var(n) for n in xh]
-        iota_w = law_w.formal_inverse()
-        taus = [iota_w.substitute({law.x: xi}, into=wctx) for xi in xs]
-        # pairwise unit factors: F(iota(xh_i), xh_j) = (xh_j - xh_i) * W_ij;
-        # everything here lives in the xh variables alone, so the cost does
-        # not grow with the base ring
-        weights = []
-        for i in range(r):
-            wprod = wctx.one()
-            vi = wctx.one()
-            for a in range(r):
-                for b in range(a + 1, r):
-                    if i in (a, b):
-                        continue
-                    vi = vi * (xs[a] - xs[b])
-            for j in range(r):
-                if j == i:
-                    continue
-                D = law_w.apply(taus[i], xs[j])
-                W = exact_divide(D, xs[j] - xs[i])
-                wprod = wprod * W
-            sign = (-1) ** (r - (i + 1))
-            weights.append(invert_unit(wprod) * vi * sign)
-        vandermonde = wctx.one()
-        for a in range(r):
-            for b in range(a + 1, r):
-                vandermonde = vandermonde * (xs[a] - xs[b])
-        good = parent.truncation + margin
-        es = elementary_symmetric(self.bundle.roots, None, one=parent.one())
-        mapping = {ch[k - 1]: es[k] for k in range(1, r + 1)}
-        images = []
-        tau_pow = [wctx.one() for _ in range(r)]
-        for k in range(r):
-            S = wctx.zero()
-            for i in range(r):
-                S = S + tau_pow[i] * weights[i]
-            # everything above weight N + margin is contaminated by the
-            # unit-factor divisions; drop it so the quotient is exact to
-            # weight N and the remainder check stays meaningful
-            S = Series(
-                wctx,
-                {m: c for m, c in S.terms.items() if wctx.weight(m) <= good},
-                _trusted=True,
-            )
-            try:
-                Q = exact_divide(S, vandermonde)
-            except NotDivisible:
-                raise CalculusError("pushforward not polynomial") from None
-            try:
-                Qc = symmetric_reduce(Q, xh, ch)
-            except NotSymmetric:
-                raise CalculusError("pushforward not symmetric") from None
-            images.append(Qc.substitute(mapping, into=parent))
-            if k + 1 < r:
-                tau_pow = [tau_pow[i] * taus[i] for i in range(r)]
-        self._images = images
-        return images
 
 
 def pb_relation_check(truncation: int = 6) -> Report:
@@ -573,16 +534,23 @@ def sequence_extend(cs, seed, limit):
     ctx = lead.context
     if lead != ctx.const(lead.constant_term) or lead.constant_term == 0:
         raise CalculusError("leading relation coefficient must be a constant unit")
-    inv_lead = Fraction(1) / lead.constant_term
     vals = [s if isinstance(s, Series) else ctx.const(s) for s in seed]
-    for n in range(0, limit - r + 1):
-        acc = ctx.zero()
-        for j in range(r):
-            acc = acc + cs[j] * vals[n + j]
-        vals.append(acc * (-inv_lead))
+    _extend_by_relation(cs, vals, limit)
     s = len(vals)
     while s > 0 and vals[s - 1].is_zero:
         s -= 1
     if len(vals) - s < r:
         raise CalculusError("finiteness violated")
     return vals, s
+
+
+def _extend_by_relation(cs, vals, limit):
+    """Append vals[n+r] = -sum_{j<r} cs[j] vals[n+j] / cs[r] until vals[limit] exists."""
+    r = len(cs) - 1
+    inv_lead = Fraction(1) / cs[r].constant_term
+    while len(vals) <= limit:
+        n = len(vals) - r
+        acc = cs[0].context.zero()
+        for j in range(r):
+            acc = acc + cs[j] * vals[n + j]
+        vals.append(acc * (-inv_lead))

@@ -40,7 +40,7 @@ from .series import (
 )
 from .fgl import ADDITIVE, MULTIPLICATIVE, FormalGroupLaw, make_law
 from .bundles import SplitBundle
-from .projective import ProjBundleRing, TowerRing, pushforward_p1_formula, tower_classes
+from .projective import ProjBundleRing, pushforward_p1_formula, tower_classes
 from .reports import CheckItem, Report
 
 
@@ -320,15 +320,18 @@ def conner_floyd_check(truncation: int = 6, seed: int = 0) -> Report:
         )
     )
 
+    # [P_k] may involve m_k, which the universal law at N <= depth lacks
     depth = 3
-    tc_u = tower_classes(law_u, depth)
+    law_t = law_u if N > depth else make_law("universal", depth + 1)
+    sm_t = SpecializationMap.to_multiplicative(law_t)
+    tc_u = tower_classes(law_t, depth)
     tc_m = tower_classes(law_m, depth)
     point_m = law_m.geometry_context([])
     for i in range(depth + 1):
         items.append(
             _cmp(
                 f"tower-P{i}",
-                specialize(sm, tc_u[i], into=point_m),
+                specialize(sm_t, tc_u[i], into=point_m),
                 tc_m[i],
             )
         )

@@ -160,6 +160,10 @@ def test_run_missing_file(capsys):
         ({"output": "yaml"}, "output"),
         ({"law": {"coefficients": {"a,b": "1"}}}, "bad law coefficient"),
         ({"bundles": {"E": []}}, "root expressions"),
+        ({"actions": [{"op": "n-series", "k": "abc"}]}, "must be an integer"),
+        ({"actions": [{"op": "n-series", "k": [1]}]}, "must be an integer"),
+        ({"actions": [{"op": "chern", "bundle": "E", "k": 2.5}]}, "must be an integer"),
+        ({"actions": [{"op": "coefficient", "i": "1", "j": 1}]}, "must be an integer"),
     ],
 )
 def test_run_validation_failures(tmp_path, capsys, mutation, message):
@@ -209,6 +213,27 @@ def test_run_computation_error_exits_one(tmp_path, capsys):
 def test_no_arguments_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "pbf", "--trunc", "0"],
+        ["check", "grr", "--trunc", "0"],
+        ["cf", "--trunc", "0"],
+        ["fglcheck", "--trunc", "-1"],
+        ["tower", "--depth", "2", "--trunc", "0"],
+        ["pbf", "--trunc", "0", "--roots", "u", "--element", "t", "--action", "reduce"],
+        ["chi", "0", "3"],
+        ["grr", "1", "3"],
+        ["tower", "--depth", "-1"],
+        ["tower", "--depth", "two"],
+    ],
+)
+def test_out_of_range_arguments_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
     assert exc.value.code == 2
 
 
@@ -275,6 +300,17 @@ def test_pbf_reduce_and_pushforward(capsys):
     )
     assert code == 0
     assert out.replace(" ", "") == "-u*t\n"
+
+
+def test_pbf_pushforward_keeps_top_weight(capsys):
+    # t-degree >= rank: the weight-N term must survive
+    code, out, _ = run_cli(
+        capsys,
+        ["pbf", "--law", "multiplicative", "--trunc", "4", "--roots", "2*v - v^2, 0",
+         "--element", "t^2", "--action", "pushforward"],
+    )
+    assert code == 0
+    assert out == "-2*v - 3*v^2 - 4*v^3 - 5*v^4\n"
 
 
 def test_pbf_law_combinations_in_roots(capsys):

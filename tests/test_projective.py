@@ -120,6 +120,33 @@ def test_additive_pushforward_matches_h_polynomial_oracle():
             assert (got - expected).is_zero, (r, k)
 
 
+@pytest.mark.parametrize("kind", ["additive", "multiplicative", "universal"])
+def test_pushforward_at_n_is_pushforward_at_n_plus_one_restricted(kind):
+    # an element of t-degree >= rank must keep its top rank-1 weights: the
+    # result at N is the result at N+1 (same law, same element) cut to N
+    N = 4
+    law = make_law(kind, N)
+    law_hi = law.at_truncation(N + 1)
+    shapes = (
+        lambda lw, u, v, z: [u, z],
+        lambda lw, u, v, z: [lw.apply(u, v), lw.inverse_at(v)],
+        lambda lw, u, v, z: [u, u, z],
+    )
+    for shape in shapes:
+        rings = []
+        for lw in (law, law_hi):
+            ctx = lw.geometry_context(["u", "v"])
+            u, v = ctx.var("u"), ctx.var("v")
+            rings.append(ProjBundleRing(SplitBundle(lw, shape(lw, u, v, ctx.zero())), "t"))
+        ring, ring_hi = rings
+        u, v, t = ring.var("u"), ring.var("v"), ring.var("t")
+        for k in range(ring.rank + 2):
+            p = t**k * (1 + u - v * Fraction(1, 2))
+            got = ring.pushforward(p)
+            want = ring_hi.pushforward(p.to_context(ring_hi.context)).to_context(got.context)
+            assert (got - want).is_zero, (kind, ring.bundle, k)
+
+
 def test_pushforward_lands_in_base_context():
     ring = standard_ring("universal", ["u1", "u2"])
     out = ring.pushforward(ring.var("t") ** 2)

@@ -260,3 +260,10 @@ def test_conner_floyd_battery():
     assert "law" in names
     assert "p1-pushforward" in names
     assert "tower-P3" in names
+
+
+@pytest.mark.parametrize("truncation", [2, 3])
+def test_conner_floyd_battery_below_tower_depth(truncation):
+    # the depth-3 tower needs m_3, which the universal law at N <= 3 lacks
+    rep = conner_floyd_check(truncation=truncation, seed=0)
+    assert rep.passed, "\n".join(l for l in rep.lines() if l.startswith("FAIL"))
