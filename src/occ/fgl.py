@@ -24,6 +24,7 @@ from .series import (
     RequiresRationals,
     Series,
     Var,
+    div_coeff,
     first_difference,
     invert_unit,
 )
@@ -131,7 +132,7 @@ class FormalGroupLaw:
         for m, c in g.terms.items():
             key = tuple(e + 1 if i == ix else e for i, e in enumerate(m))
             if ctx.weight(key) <= ctx.truncation:
-                ell[key] = c / (m[ix] + 1)
+                ell[key] = div_coeff(c, m[ix] + 1)
         ell = Series(ctx, ell, _trusted=True)
         xs, ys = ctx.var(self.x), ctx.var(self.y)
         lhs = ell.substitute({self.x: self.apply(xs, ys)}, into=ctx)

@@ -1,6 +1,7 @@
 """Exact sparse arithmetic for truncated multivariate power series.
 
-Coefficients are rational numbers (`fractions.Fraction`), never floats.
+Coefficients are exact rationals and never floats: a coefficient is an
+`int` when its value is integral and a `fractions.Fraction` otherwise.
 Variables are declared up front in a :class:`Context`, each with a name, an
 integer degree, and a nilpotency flag.  Truncation is by *nilpotent weight*:
 the weight of a monomial is the degree-weighted sum of the exponents of its
@@ -16,6 +17,7 @@ JSON serialization and first-discrepancy reporting all follow it.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, itemgetter, mul
 from typing import Iterable, NamedTuple
 
 INTEGERS = "integers"
@@ -62,14 +64,52 @@ class Var(NamedTuple):
 
 def _coerce_coeff(c, mode):
     if isinstance(c, Fraction):
-        q = c
+        q = c.numerator if c.denominator == 1 else c
     elif isinstance(c, int):
-        q = Fraction(c)
+        q = int(c)  # a bool becomes 0 or 1
     else:
         raise CalculusError(f"coefficient must be an integer or Fraction, got {type(c).__name__}")
-    if mode == INTEGERS and q.denominator != 1:
+    if mode == INTEGERS and type(q) is not int:
         raise RequiresRationals("requires rational coefficients")
     return q
+
+
+def div_coeff(a, b):
+    """The exact quotient a / b of two coefficients: an int when integral.
+
+    `int / int` is a float in Python, so every coefficient division goes
+    through here.
+    """
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _clean(terms):
+    """`terms` without zero coefficients and with integral Fractions as ints."""
+    return {
+        m: c if type(c) is int or c.denominator != 1 else c.numerator
+        for m, c in terms.items()
+        if c
+    }
+
+
+def _mac(out, a, b, limit):
+    """Multiply-accumulate: out[ma + mb] += ca * cb for every pair of weight <= limit.
+
+    `a` and `b` are lists of (weight, monomial, coefficient) sorted by
+    weight.  Zeros and integral Fractions may be left in `out`; pass it
+    through `_clean` once the accumulation is done.
+    """
+    get = out.get
+    for wa, ma, ca in a:
+        room = limit - wa
+        for wb, mb, cb in b:
+            if wb > room:
+                break
+            key = tuple(map(add, ma, mb))
+            out[key] = get(key, 0) + ca * cb
 
 
 class Context:
@@ -79,7 +119,7 @@ class Context:
     in the same order, same truncation, same mode).
     """
 
-    __slots__ = ("variables", "truncation", "mode", "names", "_index", "_nilp_idx", "_hash")
+    __slots__ = ("variables", "truncation", "mode", "names", "_index", "_degs", "_hash")
 
     def __init__(self, variables, truncation, mode=RATIONALS):
         vs = []
@@ -102,7 +142,8 @@ class Context:
         self.truncation = truncation
         self.mode = mode
         self._index = {v.name: i for i, v in enumerate(vs)}
-        self._nilp_idx = tuple((i, v.degree) for i, v in enumerate(vs) if v.nilpotent)
+        # weight = dot product with the degrees of the nilpotent variables
+        self._degs = tuple(v.degree if v.nilpotent else 0 for v in vs)
         self._hash = hash((self.variables, truncation, mode))
 
     def __eq__(self, other):
@@ -130,7 +171,7 @@ class Context:
 
     def weight(self, exps):
         """Nilpotent weight of an exponent tuple."""
-        return sum(exps[i] * d for i, d in self._nilp_idx)
+        return sum(map(mul, exps, self._degs))
 
     def degree_of(self, exps):
         """Total degree of an exponent tuple (all variables, signed degrees)."""
@@ -154,7 +195,7 @@ class Context:
         exps = tuple(1 if j == i else 0 for j in range(len(self.variables)))
         if self.weight(exps) > self.truncation:
             return self.zero()
-        return Series(self, {exps: Fraction(1)}, _trusted=True)
+        return Series(self, {exps: 1}, _trusted=True)
 
     def series(self, terms):
         """Build a series from {exponent tuple or {name: exp}: coefficient}."""
@@ -173,8 +214,8 @@ class Context:
                 raise CalculusError("negative exponent")
             q = _coerce_coeff(c, self.mode)
             if q and self.weight(mono) <= self.truncation:
-                out[mono] = out.get(mono, Fraction(0)) + q
-        return Series(self, {m: c for m, c in out.items() if c}, _trusted=True)
+                out[mono] = out.get(mono, 0) + q
+        return Series(self, _clean(out), _trusted=True)
 
     # -- derived contexts ----------------------------------------------------
 
@@ -186,13 +227,19 @@ class Context:
         return Context(self.variables, truncation, self.mode)
 
 
+def _by_weight(ctx, terms):
+    """The items of `terms` as (weight, monomial, coefficient), sorted by weight."""
+    degs = ctx._degs
+    return sorted(((sum(map(mul, m, degs)), m, c) for m, c in terms.items()), key=itemgetter(0))
+
+
 def _term_key(ctx, exps):
     # canonical order: ascending weight, then descending lex in variable order
     return (ctx.weight(exps), tuple(-e for e in exps))
 
 
 class Series:
-    """A truncated power series: a sparse map from exponent tuples to Fractions."""
+    """A truncated power series: a sparse map from exponent tuples to coefficients."""
 
     __slots__ = ("context", "terms")
 
@@ -216,14 +263,14 @@ class Series:
     @property
     def constant_term(self):
         zero = (0,) * len(self.context.variables)
-        return self.terms.get(zero, Fraction(0))
+        return self.terms.get(zero, 0)
 
     def coefficient_of(self, mono):
         """Coefficient of a single monomial, given as {name: exp}."""
         exps = [0] * len(self.context.variables)
         for name, e in mono.items():
             exps[self.context.index(name)] = e
-        return self.terms.get(tuple(exps), Fraction(0))
+        return self.terms.get(tuple(exps), 0)
 
     def partial_coefficient(self, fixed):
         """Sub-series of the terms matching given exponents, with those slots zeroed.
@@ -274,12 +321,15 @@ class Series:
             other = self.context.const(other)
         self._check_ctx(other)
         out = dict(self.terms)
+        get = out.get
         for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
+            s = get(m, 0) + c
+            if not s:
+                out.pop(m, None)
+            elif type(s) is int or s.denominator != 1:
                 out[m] = s
-            elif m in out:
-                del out[m]
+            else:
+                out[m] = s.numerator
         return Series(self.context, out, _trusted=True)
 
     __radd__ = __add__
@@ -298,29 +348,13 @@ class Series:
     def __mul__(self, other):
         if not isinstance(other, Series):
             q = _coerce_coeff(other, self.context.mode)
-            if not q:
-                return self.context.zero()
-            return Series(self.context, {m: c * q for m, c in self.terms.items()}, _trusted=True)
+            terms = _clean({m: c * q for m, c in self.terms.items()})
+            return Series(self.context, terms, _trusted=True)
         self._check_ctx(other)
         ctx = self.context
-        N = ctx.truncation
-        w = ctx.weight
-        # bucket both operands by weight so over-truncation pairs are skipped early
-        a = sorted(((w(m), m, c) for m, c in self.terms.items()), key=lambda t: t[0])
-        b = sorted(((w(m), m, c) for m, c in other.terms.items()), key=lambda t: t[0])
         out = {}
-        for wa, ma, ca in a:
-            limit = N - wa
-            for wb, mb, cb in b:
-                if wb > limit:
-                    break
-                key = tuple(x + y for x, y in zip(ma, mb))
-                s = out.get(key, Fraction(0)) + ca * cb
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-        return Series(ctx, out, _trusted=True)
+        _mac(out, _by_weight(ctx, self.terms), _by_weight(ctx, other.terms), ctx.truncation)
+        return Series(ctx, _clean(out), _trusted=True)
 
     __rmul__ = __mul__
 
@@ -402,6 +436,7 @@ class Series:
         mapped_idx = sorted(images)
         nt = len(target.variables)
         N = target.truncation
+        weight = target.weight
         pow_cache = {i: [target.one()] for i in mapped_idx}
         prof_cache = {}
         out = {}
@@ -415,25 +450,16 @@ class Series:
                     while len(cache) <= e:
                         cache.append(cache[-1] * images[i])
                     P = P * cache[e]
-                prof_cache[prof] = P
+                P = prof_cache[prof] = _by_weight(target, P.terms)
             base = [0] * nt
             for i, j in ident.items():
                 base[j] = m[i]
-            wb = target.weight(tuple(base))
-            if wb > N:
-                continue
-            for mp, cp in P.terms.items():
-                if wb + target.weight(mp) > N:
-                    continue
-                key = tuple(x + y for x, y in zip(base, mp))
-                s = out.get(key, Fraction(0)) + c * cp
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
+            base = tuple(base)
+            _mac(out, [(weight(base), base, c)], P, N)
+        out = _clean(out)
         if target.mode == INTEGERS:
             for c in out.values():
-                if c.denominator != 1:
+                if type(c) is not int:
                     raise RequiresRationals("requires rational coefficients")
         return Series(target, out, _trusted=True)
 
@@ -492,8 +518,8 @@ def first_difference(a, b):
     ctx = a.context
     monos = set(a.terms) | set(b.terms)
     for m in sorted(monos, key=lambda m: _term_key(ctx, m)):
-        ca = a.terms.get(m, Fraction(0))
-        cb = b.terms.get(m, Fraction(0))
+        ca = a.terms.get(m, 0)
+        cb = b.terms.get(m, 0)
         if ca != cb:
             name = "*".join(
                 n if e == 1 else f"{n}^{e}" for n, e in zip(ctx.names, m) if e
@@ -514,38 +540,25 @@ def invert_unit(a: Series) -> Series:
     if ctx.mode == INTEGERS and abs(c0) != 1:
         raise NotAUnit("not a unit")
     N = ctx.truncation
-    w = ctx.weight
     zero = (0,) * len(ctx.variables)
-    inv0 = 1 / c0
+    inv0 = div_coeff(1, c0)
     # higher-weight components of a, bucketed
     by_weight = {}
-    for m, c in a.terms.items():
-        wm = w(m)
-        if wm:
-            by_weight.setdefault(wm, []).append((m, c))
-    q_by_weight = {0: {zero: inv0}}
+    for t in _by_weight(ctx, a.terms):
+        if t[0]:
+            by_weight.setdefault(t[0], []).append(t)
+    q_by_weight = {0: [(0, zero, inv0)]}
     out = {zero: inv0}
     for k in range(1, N + 1):
         comp = {}
         for v, items in by_weight.items():
-            if v > k:
-                continue
             qprev = q_by_weight.get(k - v)
-            if not qprev:
-                continue
-            for ma, ca in items:
-                for mq, cq in qprev.items():
-                    key = tuple(x + y for x, y in zip(ma, mq))
-                    s = comp.get(key, Fraction(0)) + ca * cq
-                    if s:
-                        comp[key] = s
-                    elif key in comp:
-                        del comp[key]
-        if not comp:
-            continue
-        qk = {m: -inv0 * c for m, c in comp.items()}
-        q_by_weight[k] = qk
-        out.update(qk)
+            if qprev:
+                _mac(comp, items, qprev, k)
+        qk = _clean({m: -inv0 * c for m, c in comp.items()})
+        if qk:
+            q_by_weight[k] = [(k, m, c) for m, c in qk.items()]
+            out.update(qk)
     return Series(ctx, out, _trusted=True)
 
 
@@ -566,17 +579,17 @@ def _divide_homogeneous(ctx, num, den):
         diff = tuple(a - b for a, b in zip(lm_p, lm_d))
         if any(e < 0 for e in diff):
             raise NotDivisible("not divisible")
-        c = p[lm_p] / lc_d
-        q[diff] = q.get(diff, Fraction(0)) + c
+        c = div_coeff(p[lm_p], lc_d)
+        q[diff] = q.get(diff, 0) + c
         del p[lm_p]
         for md, cd in rest:
-            key = tuple(x + y for x, y in zip(diff, md))
-            s = p.get(key, Fraction(0)) - c * cd
+            key = tuple(map(add, diff, md))
+            s = p.get(key, 0) - c * cd
             if s:
                 p[key] = s
             elif key in p:
                 del p[key]
-    return {m: c for m, c in q.items() if c}
+    return _clean(q)
 
 
 def exact_divide(num: Series, den: Series) -> Series:
@@ -598,6 +611,7 @@ def exact_divide(num: Series, den: Series) -> Series:
     if num.min_weight() < d:
         raise NotDivisible("not divisible")
     den_low = {m: c for m, c in den.terms.items() if w(m) == d}
+    neg_den = [(wd, md, -cd) for wd, md, cd in _by_weight(ctx, den.terms)]
     N = ctx.truncation
     rem = dict(num.terms)
     q = {}
@@ -607,21 +621,13 @@ def exact_divide(num: Series, den: Series) -> Series:
             continue
         qk = _divide_homogeneous(ctx, comp, den_low)
         q.update(qk)
-        for mq, cq in qk.items():
-            for md, cd in den.terms.items():
-                key = tuple(x + y for x, y in zip(mq, md))
-                if w(key) > N:
-                    continue
-                s = rem.get(key, Fraction(0)) - cq * cd
-                if s:
-                    rem[key] = s
-                elif key in rem:
-                    del rem[key]
+        _mac(rem, [(k, m, c) for m, c in qk.items()], neg_den, N)
+        rem = _clean(rem)
     if rem:
         raise NotDivisible("not divisible")
     if ctx.mode == INTEGERS:
         for c in q.values():
-            if c.denominator != 1:
+            if type(c) is not int:
                 raise NotDivisible("not divisible")
     return Series(ctx, q, _trusted=True)
 
@@ -681,7 +687,7 @@ def symmetric_reduce(p: Series, roots, targets) -> Series:
                 continue
             swapped = list(m)
             swapped[ia], swapped[ib] = swapped[ib], swapped[ia]
-            if p.terms.get(tuple(swapped), Fraction(0)) != c:
+            if p.terms.get(tuple(swapped), 0) != c:
                 raise NotSymmetric("not symmetric")
     e_expanded = [None]  # e_k of the root variables as series, 1-indexed
     root_series = [ctx.var(n) for n in roots]
@@ -692,7 +698,7 @@ def symmetric_reduce(p: Series, roots, targets) -> Series:
         lam = max(tuple(m[i] for i in r_idx) for m in work)
         if not any(lam):
             for m, c in work.items():
-                out[m] = out.get(m, Fraction(0)) + c
+                out[m] = out.get(m, 0) + c
             break
         if any(lam[a] < lam[a + 1] for a in range(r - 1)):
             raise ReductionFailed("reduction failed")
@@ -711,19 +717,13 @@ def symmetric_reduce(p: Series, roots, targets) -> Series:
         t_shift = tuple(t_shift)
         for m, c in cof.items():
             key = tuple(x + y for x, y in zip(m, t_shift))
-            out[key] = out.get(key, Fraction(0)) + c
+            out[key] = out.get(key, 0) + c
         e_prod = ctx.one()
         for k, a in enumerate(mult, start=1):
             for _ in range(a):
                 e_prod = e_prod * e_expanded[k]
-        sub = Series(ctx, cof, _trusted=True) * e_prod
-        for m, c in sub.terms.items():
-            s = work.get(m, Fraction(0)) - c
-            if s:
-                work[m] = s
-            elif m in work:
-                del work[m]
-    out = {m: c for m, c in out.items() if c}
+        work = (Series(ctx, work, _trusted=True) - Series(ctx, cof, _trusted=True) * e_prod).terms
+    out = _clean(out)
     for m in out:
         for i in r_idx:
             if m[i]:

@@ -340,6 +340,14 @@ def test_check_small_suite_passes(capsys):
     assert "OK" in out
 
 
+@pytest.mark.parametrize("trunc", ["1", "2"])
+def test_check_pbf_with_ranks_above_truncation_passes(capsys, trunc):
+    # the rank-3 (and at N = 1 the rank-2) relation and Euler class are both zero
+    code, out, _ = run_cli(capsys, ["check", "pbf", "--trunc", trunc])
+    assert code == 0
+    assert "FAIL" not in out
+
+
 def test_reports_are_deterministic(capsys):
     runs = []
     for _ in range(2):

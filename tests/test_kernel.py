@@ -1,0 +1,152 @@
+"""The coefficient rule and the multiply-accumulate kernel of `occ.series`.
+
+A coefficient is an `int` when its value is integral and a `Fraction` with
+denominator other than 1 otherwise; it is never a float or a bool.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from occ.bundles import SplitBundle
+from occ.fgl import make_law
+from occ.projective import ProjBundleRing, tower_classes
+from occ.series import (
+    Context,
+    Series,
+    Var,
+    exact_divide,
+    exp_of,
+    invert_unit,
+)
+from occ.specialization import SpecializationMap, line_class, specialize
+
+
+def assert_coefficients_canonical(obj):
+    if isinstance(obj, (list, tuple)):
+        for item in obj:
+            assert_coefficients_canonical(item)
+        return
+    assert isinstance(obj, Series), type(obj)
+    for m, c in obj.terms.items():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (m, c, type(c))
+
+
+def test_every_coefficient_of_the_battery_is_int_or_proper_fraction():
+    laws = {kind: make_law(kind, 4) for kind in ("additive", "multiplicative", "universal")}
+    out = []
+    for law in laws.values():
+        out.append(tower_classes(law, 4))
+        out.append(law.formal_inverse())
+        out.append(law.log())
+    uni = laws["universal"]
+    for r in (2, 3):
+        names = [f"u{i}" for i in range(1, r + 1)]
+        ctx = uni.geometry_context(names)
+        ring = ProjBundleRing(SplitBundle(uni, [ctx.var(n) for n in names]), "t")
+        t = ring.var("t")
+        out.append(ring.pushforward(ring.context.one()))
+        out.append(ring.pushforward(t**r + t * ring.lift(ctx.var("u1"))))
+    ctx = uni.geometry_context(["u"])
+    u = ctx.var("u")
+    unit = 1 + u + ctx.const(Fraction(1, 2)) * u * u
+    out.append(exp_of(u * Fraction(2, 3)))
+    out.append(invert_unit(unit))
+    out.append(invert_unit(ctx.const(2) - u))
+    out.append(exact_divide(unit * (u + u * u), u + u * u))
+    sm = SpecializationMap.to_multiplicative(uni)
+    out.append(specialize(sm, uni.F, into=laws["multiplicative"].context))
+    out.append(specialize(sm, uni.log()))
+    mctx = laws["multiplicative"].geometry_context(["u"])
+    out.append(line_class(laws["multiplicative"], mctx.var("u")).series)
+    assert_coefficients_canonical(out)
+
+
+# -- properties of the kernel on small random series ---------------------------------
+
+COEFFS = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@st.composite
+def contexts(draw):
+    """1-3 variables, the first nilpotent, weights 1-2, truncation 1-4."""
+    vs = []
+    for i in range(draw(st.integers(1, 3))):
+        if i == 0 or draw(st.booleans()):
+            vs.append(Var(f"x{i}", draw(st.integers(1, 2)), True))
+        else:
+            vs.append(Var(f"m{i}", -1, False))
+    return Context(vs, draw(st.integers(1, 4)))
+
+
+def series_in(draw, ctx, min_weight=0):
+    monos = st.tuples(*[st.integers(0, 2)] * len(ctx.variables))
+    terms = draw(st.dictionaries(monos, COEFFS, max_size=5))
+    return ctx.series({m: c for m, c in terms.items() if ctx.weight(m) >= min_weight})
+
+
+def truncated(p, bound):
+    w = p.context.weight
+    return Series(p.context, {m: c for m, c in p.terms.items() if w(m) <= bound}, _trusted=True)
+
+
+PROPERTY = settings(max_examples=40, deadline=None)
+
+
+@PROPERTY
+@given(st.data())
+def test_ring_axioms(data):
+    ctx = data.draw(contexts())
+    a, b, c = (series_in(data.draw, ctx) for _ in range(3))
+    assert a + b == b + a
+    assert (a + b) + c == a + (b + c)
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a * ctx.one() == a and (a + ctx.zero()) == a
+    assert (a - a).is_zero
+    assert_coefficients_canonical([a + b, a - b, a * b, a * Fraction(2, 3), a * 3])
+
+
+@PROPERTY
+@given(st.data())
+def test_exact_divide_inverts_multiplication(data):
+    ctx = data.draw(contexts())
+    b = series_in(data.draw, ctx)
+    if b.is_zero:
+        b = ctx.one()
+    a = truncated(series_in(data.draw, ctx), ctx.truncation - b.min_weight())
+    q = exact_divide(a * b, b)
+    assert q == a
+    assert_coefficients_canonical(q)
+
+
+@PROPERTY
+@given(st.data(), COEFFS.filter(bool))
+def test_invert_unit_is_an_inverse(data, c0):
+    ctx = data.draw(contexts())
+    a = series_in(data.draw, ctx, min_weight=1) + c0
+    inv = invert_unit(a)
+    assert inv * a == 1
+    assert_coefficients_canonical(inv)
+
+
+@PROPERTY
+@given(st.data())
+def test_substitute_is_a_ring_homomorphism(data):
+    ctx = data.draw(contexts())
+    # an image of weight at least the variable's own keeps the truncation ideal
+    mapping = {
+        v.name: series_in(data.draw, ctx, min_weight=v.degree)
+        for v in ctx.variables
+        if v.nilpotent
+    }
+    a, b = series_in(data.draw, ctx), series_in(data.draw, ctx)
+    phi = lambda p: p.substitute(mapping, into=ctx)
+    assert phi(a * b) == phi(a) * phi(b)
+    assert phi(a + b) == phi(a) + phi(b)
+    assert phi(ctx.one()) == 1
+    assert_coefficients_canonical([phi(a), phi(a * b)])

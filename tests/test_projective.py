@@ -267,6 +267,18 @@ def test_tower_classes_universal_frozen():
             assert ak.is_zero, k
 
 
+def test_tower_classes_are_cached_per_law():
+    law = make_law("universal", 4)
+    first = tower_classes(law, 4)
+    expected = [str(c) for c in first]
+    first[1] = first[0]
+    first.append(first[0])
+    second = tower_classes(law, 4)
+    assert [str(c) for c in second] == expected
+    assert all(a is b for a, b in zip(second, tower_classes(law, 4)))
+    assert [str(c) for c in tower_classes(make_law("universal", 4), 4)] == expected
+
+
 def test_class_of_proj_line_matches_direct_pushforward():
     for kind, trunc in (("additive", 5), ("multiplicative", 5), ("universal", 4)):
         law = make_law(kind, trunc)
