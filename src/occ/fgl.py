@@ -25,10 +25,9 @@ from .series import (
     Series,
     Var,
     div_coeff,
-    first_difference,
     invert_unit,
 )
-from .reports import CheckItem, Report
+from .reports import CheckItem, Report, difference_detail
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
@@ -176,10 +175,6 @@ class FormalGroupLaw:
         vs = tuple(Var(n, 1, True) for n in class_names) + tuple(extra) + gens
         return Context(vs, truncation or self.truncation, self.context.mode)
 
-    def into_geometry(self, s: Series, ctx: Context) -> Series:
-        """Move a series in the law context (no x, y) into a geometry context."""
-        return s.substitute({}, into=ctx)
-
     # -- axiom checks -----------------------------------------------------------
 
     def check_axioms(self) -> Report:
@@ -189,10 +184,7 @@ class FormalGroupLaw:
         items = []
 
         unit = self.apply(xs, ctx.zero())
-        items.append(_diff_item("unit", unit, xs))
-
         swapped = self.F.substitute({self.x: ys, self.y: xs}, into=ctx)
-        items.append(_diff_item("commutativity", self.F, swapped))
 
         zname = _fresh_name("z", ctx.names)
         ctx3 = Context(
@@ -204,7 +196,13 @@ class FormalGroupLaw:
         x3, y3, z3 = ctx3.var(self.x), ctx3.var(self.y), ctx3.var(zname)
         left = self.apply(self.apply(x3, y3), z3)
         right = self.apply(x3, self.apply(y3, z3))
-        items.append(_diff_item("associativity", left, right))
+        for name, got, expected in (
+            ("unit", unit, xs),
+            ("commutativity", self.F, swapped),
+            ("associativity", left, right),
+        ):
+            detail = difference_detail(got, expected)
+            items.append(CheckItem(name, not detail, detail))
 
         if self.graded:
             ok = self.F.is_homogeneous(1)
@@ -229,14 +227,6 @@ def _fresh_name(base, taken):
     while f"{base}{i}" in taken:
         i += 1
     return f"{base}{i}"
-
-
-def _diff_item(name, got, expected):
-    d = first_difference(got, expected)
-    if d is None:
-        return CheckItem(name, True, "")
-    mono, ca, cb = d
-    return CheckItem(name, False, f"first difference at {mono}: {ca} != {cb}")
 
 
 # -- constructors ---------------------------------------------------------------

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .series import first_difference
+
 
 @dataclass(frozen=True)
 class CheckItem:
@@ -63,3 +65,9 @@ def merge_reports(title, reports) -> Report:
                 CheckItem(f"{rep.title}: {i.name}", i.passed, i.detail, i.expected, i.actual)
             )
     return Report(title, tuple(items))
+
+
+def difference_detail(a, b) -> str:
+    """The empty string when the series agree, else their first differing term."""
+    d = first_difference(a, b)
+    return "" if d is None else f"first difference at {d[0]}: {d[1]} != {d[2]}"

@@ -389,8 +389,9 @@ class Series:
     def substitute(self, mapping, into=None):
         """Substitute series (or scalars) for variables, landing in `into`.
 
-        Every mapped nilpotent variable must receive a series with zero
-        constant term.  Variables that are not mapped but occur in a term must
+        Every mapped nilpotent variable must receive zero or a series of
+        weight at least its degree, so that truncation commutes with the
+        substitution.  Variables that are not mapped but occur in a term must
         exist in the target context with the same degree and nilpotency.  The
         target context defaults to the context of the first series image, or
         to this series' own context when the mapping is scalar-only.
@@ -413,7 +414,8 @@ class Series:
                 img = val
             else:
                 img = target.const(val)
-            if ctx.variables[i].nilpotent and img.constant_term != 0:
+            v = ctx.variables[i]
+            if v.nilpotent and img.terms and img.min_weight() < v.degree:
                 raise SubstitutionError("non-nilpotent substitution")
             images[i] = img
         if not self.terms:

@@ -34,14 +34,13 @@ from .series import (
     Series,
     compose_coeffs,
     exp_of,
-    first_difference,
     invert_unit,
     log1p_of,
 )
 from .fgl import ADDITIVE, MULTIPLICATIVE, FormalGroupLaw, make_law
 from .bundles import SplitBundle
 from .projective import ProjBundleRing, pushforward_p1_formula, tower_classes
-from .reports import CheckItem, Report
+from .reports import CheckItem, Report, difference_detail
 
 
 # -- specialization maps -----------------------------------------------------------
@@ -340,13 +339,8 @@ def conner_floyd_check(truncation: int = 6, seed: int = 0) -> Report:
 
 
 def _cmp(name, got, expected):
-    d = first_difference(got, expected)
-    if d is None:
-        return CheckItem(name, True, "", str(expected), str(got))
-    mono, ca, cb = d
-    return CheckItem(
-        name, False, f"first difference at {mono}: {ca} != {cb}", str(expected), str(got)
-    )
+    detail = difference_detail(got, expected)
+    return CheckItem(name, not detail, detail, str(expected), str(got))
 
 
 def _root_pool(law, ctx):

@@ -190,6 +190,23 @@ def test_substitute_basics():
         p.substitute({"x": c.one()}, into=c)
 
 
+def test_substitute_rejects_image_of_lower_weight():
+    # x -> m1 is no ring map at N = 2: x*x*x is zero there, but the product
+    # of three images of x is m1^3
+    c = Context((Var("x", 1, True), Var("z", 2, True), Var("m1", 1, False)), 2, "rationals")
+    x, z, m1 = c.var("x"), c.var("z"), c.var("m1")
+    assert (x * x * x).is_zero
+    assert not (m1 * m1 * m1).is_zero
+    with pytest.raises(SubstitutionError, match="non-nilpotent substitution"):
+        (x * x * x).substitute({"x": m1}, into=c)
+    with pytest.raises(SubstitutionError, match="non-nilpotent substitution"):
+        z.substitute({"z": x + z}, into=c)
+    # zero, and images of weight at least the variable's degree, are accepted
+    assert z.substitute({"z": c.zero()}, into=c).is_zero
+    assert z.substitute({"z": x * x + m1 * z}, into=c) == x * x + m1 * z
+    assert (x * x * x).substitute({"x": m1 * x}, into=c).is_zero
+
+
 def test_to_context_retruncates():
     hi = ctx2(8)
     lo = ctx2(4)
