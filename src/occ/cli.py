@@ -23,7 +23,7 @@ from .projective import (
     tower_classes,
 )
 from .reports import CheckItem, Report, merge_reports
-from .series import RATIONALS, CalculusError, Context, Series, Var
+from .series import CalculusError, Context, Series, Var
 from .specialization import (
     conner_floyd_check,
     grr_check,
@@ -99,7 +99,7 @@ def _build_law(spec, truncation):
             raise TaskError(f"unknown law {spec!r} (choose from {', '.join(LAW_KINDS)})")
         return make_law(spec, truncation)
     if isinstance(spec, dict) and isinstance(spec.get("coefficients"), dict):
-        ctx = Context((Var("x", 1, True), Var("y", 1, True)), truncation, RATIONALS)
+        ctx = Context((Var("x", 1, True), Var("y", 1, True)), truncation)
         f = ctx.zero()
         for key, val in spec["coefficients"].items():
             try:

@@ -10,6 +10,11 @@ Three built-in laws:
   m_i are algebraically independent, so an identity that holds here holds for
   every law obtained by assigning rational values to the m_i.
 
+Over the rationals a law is determined by its logarithm, the series l(x)
+with l(F(x, y)) = l(x) + l(y).  `log` and its compositional inverse `exp`
+are the one primitive of a law: the n-series is [n](x) = exp(n l(x)) for
+every integer n, and the formal inverse is the case n = -1.
+
 A law carries its own context (the two formal variables plus any coefficient
 generators); geometry contexts for Chern-class computations are derived from
 it so the generators stay available.
@@ -20,12 +25,12 @@ from __future__ import annotations
 from .series import (
     CalculusError,
     Context,
-    RATIONALS,
-    RequiresRationals,
     Series,
     Var,
     div_coeff,
+    exp_of,
     invert_unit,
+    log1p_of,
 )
 from .reports import CheckItem, Report, difference_detail
 
@@ -47,8 +52,9 @@ class FormalGroupLaw:
         self.coefficient_names = tuple(
             n for n in self.context.names if n not in (x, y)
         )
-        self._inverse = None
         self._log = None
+        self._exp = None
+        self._inverse = None
         self._templates = {}
 
     @property
@@ -70,42 +76,7 @@ class FormalGroupLaw:
         """Coefficient of x^i y^j as a series in the coefficient generators."""
         return self.F.partial_coefficient({self.x: i, self.y: j})
 
-    # -- inverse, n-series, logarithm ----------------------------------------
-
-    def formal_inverse(self) -> Series:
-        """The series i(x) with F(x, i(x)) = 0, in the law's own context."""
-        if self._inverse is not None:
-            return self._inverse
-        ctx = self.context
-        xs = ctx.var(self.x)
-        iota = -xs
-        for w in range(2, ctx.truncation + 1):
-            err = self.apply(xs, iota).weight_component(w)
-            if not err.is_zero:
-                iota = iota - err
-        if not self.apply(xs, iota).is_zero:
-            raise CalculusError("formal inverse does not exist (not a group law?)")
-        self._inverse = iota
-        return iota
-
-    def inverse_at(self, s: Series) -> Series:
-        return self.formal_inverse().substitute({self.x: s}, into=s.context)
-
-    def formal_sum_n(self, n: int) -> Series:
-        """The n-series [n](x); negative n via the formal inverse."""
-        ctx = self.context
-        xs = ctx.var(self.x)
-        if n == 0:
-            return ctx.zero()
-        if n < 0:
-            return self.inverse_at(self.formal_sum_n(-n))
-        acc = xs
-        for _ in range(n - 1):
-            acc = self.apply(acc, xs)
-        return acc
-
-    def sum_n_at(self, n: int, s: Series) -> Series:
-        return self.formal_sum_n(n).substitute({self.x: s}, into=s.context)
+    # -- logarithm, exponential, n-series ------------------------------------
 
     def invariant_differential(self) -> Series:
         """w(x) = 1 / (dF/dy)(x, 0), so that w(x) dx is the invariant differential.
@@ -115,16 +86,15 @@ class FormalGroupLaw:
         return invert_unit(self.F.partial_coefficient({self.y: 1}))
 
     def log(self) -> Series:
-        """The logarithm l(x) with l(F(x, y)) = l(x) + l(y), rational mode only.
+        """The logarithm l(x) with l(F(x, y)) = l(x) + l(y).
 
-        Computed from the classical formula l'(x) = 1 / (dF/dy)(x, 0) by
-        termwise integration, then verified against the defining identity.
+        The built-in laws set it in closed form.  A custom law computes it
+        from the classical formula l'(x) = 1 / (dF/dy)(x, 0) by termwise
+        integration, then verifies it against the defining identity.
         """
         if self._log is not None:
             return self._log
         ctx = self.context
-        if ctx.mode != RATIONALS:
-            raise RequiresRationals("requires rational coefficients")
         ix = ctx.index(self.x)
         g = self.invariant_differential()
         ell = {}
@@ -139,6 +109,28 @@ class FormalGroupLaw:
             raise CalculusError("law has no logarithm at this truncation")
         self._log = ell
         return ell
+
+    def exp(self) -> Series:
+        """The exponential e(x), the compositional inverse of the logarithm."""
+        if self._exp is None:
+            self._exp = _revert(self.log(), self.x)
+        return self._exp
+
+    def formal_sum_n(self, n: int) -> Series:
+        """The n-series [n](x) = exp(n log x), for any integer n."""
+        return self.exp().substitute({self.x: self.log() * n})
+
+    def sum_n_at(self, n: int, s: Series) -> Series:
+        return self.formal_sum_n(n).substitute({self.x: s}, into=s.context)
+
+    def formal_inverse(self) -> Series:
+        """The series i(x) = [-1](x) with F(x, i(x)) = 0, in the law's own context."""
+        if self._inverse is None:
+            self._inverse = self.formal_sum_n(-1)
+        return self._inverse
+
+    def inverse_at(self, s: Series) -> Series:
+        return self.formal_inverse().substitute({self.x: s}, into=s.context)
 
     # -- truncation changes ------------------------------------------------------
 
@@ -157,7 +149,7 @@ class FormalGroupLaw:
         if cached is not None:
             return cached
         if self.kind in (ADDITIVE, MULTIPLICATIVE):
-            law = make_law(self.kind, order, self.context.mode, self.x, self.y)
+            law = make_law(self.kind, order, self.x, self.y)
         elif self.kind == UNIVERSAL:
             law = _universal_law(self.coefficient_names, order, self.x, self.y)
         else:
@@ -167,13 +159,13 @@ class FormalGroupLaw:
 
     # -- derived contexts ------------------------------------------------------
 
-    def geometry_context(self, class_names, truncation=None, extra=()) -> Context:
+    def geometry_context(self, class_names, truncation=None) -> Context:
         """A context with degree-1 nilpotent class variables plus the generators."""
         gens = tuple(
             v for v in self.context.variables if v.name in self.coefficient_names
         )
-        vs = tuple(Var(n, 1, True) for n in class_names) + tuple(extra) + gens
-        return Context(vs, truncation or self.truncation, self.context.mode)
+        vs = tuple(Var(n, 1, True) for n in class_names) + gens
+        return Context(vs, truncation or self.truncation)
 
     # -- axiom checks -----------------------------------------------------------
 
@@ -191,7 +183,6 @@ class FormalGroupLaw:
             (Var(self.x, 1, True), Var(self.y, 1, True), Var(zname, 1, True))
             + tuple(v for v in ctx.variables if v.name in self.coefficient_names),
             ctx.truncation,
-            ctx.mode,
         )
         x3, y3, z3 = ctx3.var(self.x), ctx3.var(self.y), ctx3.var(zname)
         left = self.apply(self.apply(x3, y3), z3)
@@ -232,19 +223,21 @@ def _fresh_name(base, taken):
 # -- constructors ---------------------------------------------------------------
 
 
-def make_law(kind, truncation, mode=RATIONALS, x="x", y="y") -> FormalGroupLaw:
+def make_law(kind, truncation, x="x", y="y") -> FormalGroupLaw:
     """Build one of the three built-in laws at a truncation order."""
-    if kind == ADDITIVE:
-        ctx = Context([Var(x, 1, True), Var(y, 1, True)], truncation, mode)
-        return FormalGroupLaw(ctx.var(x) + ctx.var(y), ADDITIVE, x, y, graded=True)
-    if kind == MULTIPLICATIVE:
-        ctx = Context([Var(x, 1, True), Var(y, 1, True)], truncation, mode)
+    if kind in (ADDITIVE, MULTIPLICATIVE):
+        ctx = Context([Var(x, 1, True), Var(y, 1, True)], truncation)
         xs, ys = ctx.var(x), ctx.var(y)
-        # x + y - xy does not respect the grading; the theory is ungraded
-        return FormalGroupLaw(xs + ys - xs * ys, MULTIPLICATIVE, x, y, graded=False)
+        if kind == ADDITIVE:
+            law = FormalGroupLaw(xs + ys, ADDITIVE, x, y, graded=True)
+            law._log = law._exp = xs
+        else:
+            # x + y - xy does not respect the grading; the theory is ungraded
+            law = FormalGroupLaw(xs + ys - xs * ys, MULTIPLICATIVE, x, y, graded=False)
+            law._log = -log1p_of(-xs)
+            law._exp = 1 - exp_of(-xs)
+        return law
     if kind == UNIVERSAL:
-        if mode != RATIONALS:
-            raise RequiresRationals("requires rational coefficients")
         gen_names = tuple(f"m{i}" for i in range(1, truncation))
         return _universal_law(gen_names, truncation, x, y)
     raise CalculusError(f"unknown law kind {kind!r}")
@@ -253,27 +246,32 @@ def make_law(kind, truncation, mode=RATIONALS, x="x", y="y") -> FormalGroupLaw:
 def _universal_law(gen_names, truncation, x, y) -> FormalGroupLaw:
     """exp(log x + log y) for log(x) = x + sum m_i x^(i+1) over given generators."""
     gens = [Var(n, -int(n[1:]), False) for n in gen_names]
-    ctx = Context([Var(x, 1, True), Var(y, 1, True)] + gens, truncation, RATIONALS)
-    zname = _fresh_name("z", ctx.names)
-    uctx = Context([Var(zname, 1, True)] + gens, truncation, RATIONALS)
-    z = uctx.var(zname)
-    log_u = z
+    ctx = Context([Var(x, 1, True), Var(y, 1, True)] + gens, truncation)
+    xs = ctx.var(x)
+    logx = xs
     for v in gens:
-        log_u = log_u + uctx.var(v.name) * z ** (-v.degree + 1)
-    # exp = compositional inverse of log, solved weight by weight
-    exp_u = z
-    for w in range(2, truncation + 1):
-        err = log_u.substitute({zname: exp_u}, into=uctx) - z
-        exp_u = exp_u - err.weight_component(w)
-    check = log_u.substitute({zname: exp_u}, into=uctx) - z
-    if not check.is_zero:
-        raise CalculusError("exp/log inversion failed")
-    logx = log_u.substitute({zname: ctx.var(x)}, into=ctx)
-    logy = log_u.substitute({zname: ctx.var(y)}, into=ctx)
-    F = exp_u.substitute({zname: logx + logy}, into=ctx)
+        logx = logx + ctx.var(v.name) * xs ** (-v.degree + 1)
+    exp = _revert(logx, x)
+    F = exp.substitute({x: logx + logx.substitute({x: ctx.var(y)})})
     law = FormalGroupLaw(F, UNIVERSAL, x, y, graded=True)
     law._log = logx
+    law._exp = exp
     return law
+
+
+def _revert(f: Series, x) -> Series:
+    """The compositional inverse g of f(x) = x + ..., so that f(g(x)) = x.
+
+    Solved weight by weight: once g is right below weight w, the weight-w
+    part of f(g(x)) - x is exactly the correction that g still needs there.
+    """
+    xs = f.context.var(x)
+    g = xs
+    for w in range(2, f.context.truncation + 1):
+        g = g - (f.substitute({x: g}) - xs).weight_component(w)
+    if f.substitute({x: g}) != xs:
+        raise CalculusError("series has no compositional inverse at this truncation")
+    return g
 
 
 def custom_law(F: Series, x="x", y="y") -> FormalGroupLaw:

@@ -38,7 +38,6 @@ from .series import (
     Context,
     ContextMismatch,
     NotDivisible,
-    RATIONALS,
     Series,
     Var,
     div_coeff,
@@ -67,10 +66,10 @@ def pushforward_template(law, N, r, k) -> Series:
         M = N + r - 1
         gens = tuple(v for v in ctx.variables if v.name in hi.coefficient_names)
         evars = tuple(Var(f"e{i}", i, True) for i in range(1, r + 1))
-        # t is the law's x, tau its y; log and exp need rationals
-        lw = Context(ctx.variables, M, RATIONALS)
-        work = Context((Var(hi.x, 1, True),) + evars + gens, M, RATIONALS)
-        tmpl = Context(evars + gens, N, RATIONALS)
+        # t is the law's x, tau its y
+        lw = ctx.with_truncation(M)
+        work = Context((Var(hi.x, 1, True),) + evars + gens, M)
+        tmpl = Context(evars + gens, N)
         x, y = ctx.var(hi.x), ctx.var(hi.y)
         log_u = log1p_of(exact_divide(hi.apply(x, hi.inverse_at(y)), x - y).to_context(lw) - 1)
         e = [work.one()] + [work.var(v.name) for v in evars]
@@ -342,19 +341,18 @@ class TowerRing:
     t_1..t_k; `m_classes[k]` is the first Chern class of M_k on P_k.
     """
 
-    def __init__(self, law, depth, t_prefix="t", base_context=None):
+    def __init__(self, law, depth):
         self.law = law
-        ctx = base_context if base_context is not None else law.geometry_context([])
-        self.base_context = ctx
+        ctx = self.base_context = law.geometry_context([])
         self.rings = []
         self.m_classes = [ctx.zero()]
         for k in range(1, depth + 1):
             bundle = SplitBundle(law, [self.m_classes[-1], ctx.zero()])
-            ring = ProjBundleRing(bundle, f"{t_prefix}{k}")
+            ring = ProjBundleRing(bundle, f"t{k}")
             ctx = ring.context
             self.rings.append(ring)
             lifted = self.m_classes[-1].substitute({}, into=ctx)
-            self.m_classes.append(law.apply(lifted, ctx.var(f"{t_prefix}{k}")))
+            self.m_classes.append(law.apply(lifted, ctx.var(f"t{k}")))
 
     @property
     def depth(self):

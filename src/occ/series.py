@@ -1,7 +1,8 @@
 """Exact sparse arithmetic for truncated multivariate power series.
 
-Coefficients are exact rationals and never floats: a coefficient is an
-`int` when its value is integral and a `fractions.Fraction` otherwise.
+The coefficient ring is the rationals, and coefficients are never floats: a
+coefficient is an `int` when its value is integral and a
+`fractions.Fraction` otherwise.
 Variables are declared up front in a :class:`Context`, each with a name, an
 integer degree, and a nilpotency flag.  Truncation is by *nilpotent weight*:
 the weight of a monomial is the degree-weighted sum of the exponents of its
@@ -19,10 +20,6 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add, itemgetter, mul
 from typing import Iterable, NamedTuple
-
-INTEGERS = "integers"
-RATIONALS = "rationals"
-
 
 class CalculusError(Exception):
     """Base class for all arithmetic/validation errors raised here."""
@@ -52,26 +49,18 @@ class ReductionFailed(CalculusError):
     pass
 
 
-class RequiresRationals(CalculusError):
-    pass
-
-
 class Var(NamedTuple):
     name: str
     degree: int
     nilpotent: bool = True
 
 
-def _coerce_coeff(c, mode):
+def _coerce_coeff(c):
     if isinstance(c, Fraction):
-        q = c.numerator if c.denominator == 1 else c
-    elif isinstance(c, int):
-        q = int(c)  # a bool becomes 0 or 1
-    else:
-        raise CalculusError(f"coefficient must be an integer or Fraction, got {type(c).__name__}")
-    if mode == INTEGERS and type(q) is not int:
-        raise RequiresRationals("requires rational coefficients")
-    return q
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)  # a bool becomes 0 or 1
+    raise CalculusError(f"coefficient must be an integer or Fraction, got {type(c).__name__}")
 
 
 def div_coeff(a, b):
@@ -113,15 +102,15 @@ def _mac(out, a, b, limit):
 
 
 class Context:
-    """An ordered list of variables plus a truncation order and coefficient mode.
+    """An ordered list of variables plus a truncation order.
 
     Series are only compatible when their contexts are equal (same variables
-    in the same order, same truncation, same mode).
+    in the same order, same truncation).
     """
 
-    __slots__ = ("variables", "truncation", "mode", "names", "_index", "_degs", "_hash")
+    __slots__ = ("variables", "truncation", "names", "_index", "_degs", "_hash")
 
-    def __init__(self, variables, truncation, mode=RATIONALS):
+    def __init__(self, variables, truncation):
         vs = []
         for v in variables:
             if isinstance(v, Var):
@@ -137,21 +126,17 @@ class Context:
                 raise CalculusError(f"nilpotent variable {v.name} must have degree >= 1")
         if not isinstance(truncation, int) or truncation < 1:
             raise CalculusError("truncation order must be a positive integer")
-        if mode not in (INTEGERS, RATIONALS):
-            raise CalculusError(f"unknown coefficient mode {mode!r}")
         self.truncation = truncation
-        self.mode = mode
         self._index = {v.name: i for i, v in enumerate(vs)}
         # weight = dot product with the degrees of the nilpotent variables
         self._degs = tuple(v.degree if v.nilpotent else 0 for v in vs)
-        self._hash = hash((self.variables, truncation, mode))
+        self._hash = hash((self.variables, truncation))
 
     def __eq__(self, other):
         return (
             isinstance(other, Context)
             and self.variables == other.variables
             and self.truncation == other.truncation
-            and self.mode == other.mode
         )
 
     def __hash__(self):
@@ -161,7 +146,7 @@ class Context:
         vs = ", ".join(
             f"{v.name}:{v.degree}" + ("" if v.nilpotent else "!") for v in self.variables
         )
-        return f"Context([{vs}], N={self.truncation}, {self.mode})"
+        return f"Context([{vs}], N={self.truncation})"
 
     def index(self, name):
         try:
@@ -186,7 +171,7 @@ class Context:
         return self.const(1)
 
     def const(self, c):
-        q = _coerce_coeff(c, self.mode)
+        q = _coerce_coeff(c)
         zero = (0,) * len(self.variables)
         return Series(self, {zero: q} if q else {}, _trusted=True)
 
@@ -212,7 +197,7 @@ class Context:
                     raise CalculusError("exponent tuple has wrong length")
             if any(e < 0 for e in mono):
                 raise CalculusError("negative exponent")
-            q = _coerce_coeff(c, self.mode)
+            q = _coerce_coeff(c)
             if q and self.weight(mono) <= self.truncation:
                 out[mono] = out.get(mono, 0) + q
         return Series(self, _clean(out), _trusted=True)
@@ -221,10 +206,10 @@ class Context:
 
     def extend(self, new_vars, truncation=None):
         vs = [v if isinstance(v, Var) else Var(*v) for v in new_vars]
-        return Context(self.variables + tuple(vs), truncation or self.truncation, self.mode)
+        return Context(self.variables + tuple(vs), truncation or self.truncation)
 
     def with_truncation(self, truncation):
-        return Context(self.variables, truncation, self.mode)
+        return Context(self.variables, truncation)
 
 
 def _by_weight(ctx, terms):
@@ -250,7 +235,7 @@ class Series:
         else:
             self.terms = {}
             for m, c in terms.items():
-                q = _coerce_coeff(c, context.mode)
+                q = _coerce_coeff(c)
                 if q and context.weight(m) <= context.truncation:
                     self.terms[tuple(m)] = q
 
@@ -264,13 +249,6 @@ class Series:
     def constant_term(self):
         zero = (0,) * len(self.context.variables)
         return self.terms.get(zero, 0)
-
-    def coefficient_of(self, mono):
-        """Coefficient of a single monomial, given as {name: exp}."""
-        exps = [0] * len(self.context.variables)
-        for name, e in mono.items():
-            exps[self.context.index(name)] = e
-        return self.terms.get(tuple(exps), 0)
 
     def partial_coefficient(self, fixed):
         """Sub-series of the terms matching given exponents, with those slots zeroed.
@@ -300,15 +278,6 @@ class Series:
     def is_homogeneous(self, degree):
         d = self.context.degree_of
         return all(d(m) == degree for m in self.terms)
-
-    def support_names(self):
-        """Names of variables occurring with positive exponent."""
-        used = set()
-        for m in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    used.add(self.context.names[i])
-        return used
 
     # -- ring operations -----------------------------------------------------
 
@@ -347,7 +316,7 @@ class Series:
 
     def __mul__(self, other):
         if not isinstance(other, Series):
-            q = _coerce_coeff(other, self.context.mode)
+            q = _coerce_coeff(other)
             terms = _clean({m: c * q for m, c in self.terms.items()})
             return Series(self.context, terms, _trusted=True)
         self._check_ctx(other)
@@ -458,12 +427,7 @@ class Series:
                 base[j] = m[i]
             base = tuple(base)
             _mac(out, [(weight(base), base, c)], P, N)
-        out = _clean(out)
-        if target.mode == INTEGERS:
-            for c in out.values():
-                if type(c) is not int:
-                    raise RequiresRationals("requires rational coefficients")
-        return Series(target, out, _trusted=True)
+        return Series(target, _clean(out), _trusted=True)
 
     def to_context(self, target):
         """Reinterpret in another context (same-named variables), retruncating."""
@@ -538,8 +502,6 @@ def invert_unit(a: Series) -> Series:
     ctx = a.context
     c0 = a.constant_term
     if c0 == 0:
-        raise NotAUnit("not a unit")
-    if ctx.mode == INTEGERS and abs(c0) != 1:
         raise NotAUnit("not a unit")
     N = ctx.truncation
     zero = (0,) * len(ctx.variables)
@@ -627,10 +589,6 @@ def exact_divide(num: Series, den: Series) -> Series:
         rem = _clean(rem)
     if rem:
         raise NotDivisible("not divisible")
-    if ctx.mode == INTEGERS:
-        for c in q.values():
-            if type(c) is not int:
-                raise NotDivisible("not divisible")
     return Series(ctx, q, _trusted=True)
 
 
@@ -739,9 +697,10 @@ def symmetric_reduce(p: Series, roots, targets) -> Series:
 def compose_coeffs(coeff_fn, s: Series, start=0) -> Series:
     """Sum coeff_fn(k) * s**k for k >= start, until powers of s vanish.
 
-    `s` must have zero constant term so the sum is finite under truncation.
+    `s` must be nilpotent (every term of weight at least 1), so that s**k
+    vanishes for k above the truncation order and the sum is finite.
     """
-    if s.constant_term != 0:
+    if s.terms and s.min_weight() == 0:
         raise SubstitutionError("non-nilpotent substitution")
     ctx = s.context
     out = ctx.zero()
@@ -755,22 +714,16 @@ def compose_coeffs(coeff_fn, s: Series, start=0) -> Series:
             out = out + power * c
         power = power * s
         k += 1
-        if k > ctx.truncation + 1:
-            break
     return out
 
 
 def exp_of(s: Series) -> Series:
-    """exp(s) for a series with zero constant term (rational mode only)."""
-    if s.context.mode != RATIONALS:
-        raise RequiresRationals("requires rational coefficients")
+    """exp(s) for a nilpotent series s."""
     from math import factorial
 
     return compose_coeffs(lambda k: Fraction(1, factorial(k)), s)
 
 
 def log1p_of(s: Series) -> Series:
-    """log(1 + s) for a series with zero constant term (rational mode only)."""
-    if s.context.mode != RATIONALS:
-        raise RequiresRationals("requires rational coefficients")
+    """log(1 + s) for a nilpotent series s."""
     return compose_coeffs(lambda k: Fraction((-1) ** (k - 1), k), s, start=1)

@@ -29,8 +29,6 @@ from math import factorial
 from .series import (
     CalculusError,
     Context,
-    RATIONALS,
-    RequiresRationals,
     Series,
     compose_coeffs,
     exp_of,
@@ -71,7 +69,7 @@ def specialize(sm: SpecializationMap, p: Series, into: Context | None = None) ->
     ctx = p.context
     if into is None:
         keep = tuple(v for v in ctx.variables if v.name not in sm.assignment)
-        into = Context(keep, ctx.truncation, ctx.mode)
+        into = Context(keep, ctx.truncation)
     mapping = {n: v for n, v in sm.assignment.items() if n in ctx._index}
     return p.substitute(mapping, into=into)
 
@@ -152,8 +150,6 @@ def todd(E: SplitBundle) -> Series:
 
 def todd_prime_at_dual(v: Series) -> Series:
     """v / log(1 - v) where v is the first Chern class of the dual line."""
-    if v.context.mode != RATIONALS:
-        raise RequiresRationals("requires rational coefficients")
     # log(1-v)/v = -(1 + v/2 + v^2/3 + ...); invert and flip the sign
     w = compose_coeffs(lambda k: Fraction(-1, k + 1), v)
     return invert_unit(w)
@@ -211,7 +207,7 @@ def grr_check(r: int, k: int) -> Report:
         raise CalculusError("r must be >= 2")
     oracle = k_chi_oracle(r, k)
 
-    law = make_law(ADDITIVE, max(r, 2, abs(k) + 1))
+    law = make_law(ADDITIVE, max(r, 2))
     ctx = law.geometry_context([])
     trivial = SplitBundle(law, [ctx.zero()] * r)
     ring = ProjBundleRing(trivial, "t")

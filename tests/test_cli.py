@@ -1,4 +1,6 @@
 import json
+from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -260,6 +262,33 @@ def test_chi_json_schema(capsys):
 def test_grr_text_and_exit(capsys):
     code, out, _ = run_cli(capsys, ["grr", "2", "3"])
     assert code == 0
+    assert "OK (3/3 passed)" in out
+
+
+def test_huge_k_n_series_and_grr_finish(tmp_path, capsys):
+    k = 3000000
+    task = {"law": "universal", "truncation": 4, "output": "json",
+            "actions": [{"op": "n-series", "k": k}]}
+    code, out, _ = run_cli(capsys, ["run", write_task(tmp_path, task)])
+    assert code == 0
+    terms = json.loads(out)["results"][0]["series"]["terms"]
+    # m_i = 0 specializes to the additive law, [k](x) = k x; m_i = 1/(i+1)
+    # to the multiplicative one, [k](x) = 1 - (1 - x)^k
+    for value, want in (
+        (lambda i: 0, {1: k}),
+        (lambda i: Fraction(1, i + 1), {j: (-1) ** (j + 1) * comb(k, j) for j in range(1, 5)}),
+    ):
+        got = {}
+        for term in terms:
+            mono = dict(term["monomial"])
+            c = Fraction(term["coeff"])
+            for i in range(1, 4):
+                c *= value(i) ** mono.get(f"m{i}", 0)
+            got[mono["x"]] = got.get(mono["x"], 0) + c
+        assert {e: c for e, c in got.items() if c} == want
+    code, out, _ = run_cli(capsys, ["grr", "2", "100000"])
+    assert code == 0
+    assert "pushforward 100001, oracle 100001" in out
     assert "OK (3/3 passed)" in out
 
 

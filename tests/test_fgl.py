@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from occ.fgl import FormalGroupLaw, custom_law, make_law
-from occ.series import CalculusError, RequiresRationals
+from occ.series import CalculusError
 from occ.specialization import SpecializationMap, specialize
 
 
@@ -70,6 +70,46 @@ def test_n_series_additivity():
     assert (three - law.sum_n_at(3, x)).is_zero
     assert law.sum_n_at(0, x).is_zero
     assert (law.sum_n_at(1, x) - x).is_zero
+
+
+LAWS = ("additive", "multiplicative", "universal")
+
+
+@pytest.mark.parametrize("N", range(2, 7))
+@pytest.mark.parametrize("kind", LAWS)
+def test_n_series_is_a_ring_map(kind, N):
+    law = make_law(kind, N)
+    x = law.context.var("x")
+    assert law.exp().substitute({"x": law.log()}) == x
+    sums = {n: law.formal_sum_n(n) for n in range(-9, 10)}
+    assert sums[1] == x and sums[0].is_zero and sums[-1] == law.formal_inverse()
+    for m in range(-3, 4):
+        for n in range(-3, 4):
+            assert law.sum_n_at(m, sums[n]) == sums[m * n], (m, n)
+            assert law.apply(sums[m], sums[n]) == sums[m + n], (m, n)
+
+
+@pytest.mark.parametrize("N", range(2, 7))
+@pytest.mark.parametrize("kind", LAWS)
+def test_law_primitives_restrict_from_one_order_up(kind, N):
+    law = make_law(kind, N)
+    wide = law.at_truncation(N + 1)
+
+    def down(s):
+        return s.to_context(law.context)
+
+    assert down(wide.log()) == law.log()
+    assert down(wide.exp()) == law.exp()
+    assert down(wide.formal_inverse()) == law.formal_inverse()
+    for n in (-3, 0, 2, 5):
+        assert down(wide.formal_sum_n(n)) == law.formal_sum_n(n)
+
+
+def test_inverse_of_a_non_group_law_raises():
+    ctx = make_law("additive", 4).context
+    x, y = ctx.var("x"), ctx.var("y")
+    with pytest.raises(CalculusError, match="law has no logarithm"):
+        custom_law(x + y + x * x).formal_inverse()
 
 
 # -- universal-law coefficients against an independent oracle ------------------------
@@ -202,11 +242,6 @@ def test_specialize_to_multiplicative():
     assert (specialize(sm, law.F, into=target.context) - target.F).is_zero
     got = specialize(sm, law.formal_inverse(), into=target.context)
     assert (got - target.formal_inverse()).is_zero
-
-
-def test_universal_requires_rationals():
-    with pytest.raises(RequiresRationals, match="requires rational coefficients"):
-        make_law("universal", 4, mode="integers")
 
 
 def test_unknown_kind_rejected():

@@ -16,7 +16,7 @@ from occ.projective import (
     sequence_extend,
     tower_classes,
 )
-from occ.series import CalculusError, Context, ContextMismatch, RATIONALS, Var
+from occ.series import CalculusError, Context, ContextMismatch, Var
 
 
 def rand_poly(rng, ctx, names, terms=4, max_pow=2):
@@ -415,7 +415,7 @@ def test_ring_rejects_t_collision():
 
 
 def test_custom_law_pushforward_rank_limits():
-    ctx = Context((Var("x", 1, True), Var("y", 1, True)), 4, RATIONALS)
+    ctx = Context((Var("x", 1, True), Var("y", 1, True)), 4)
     x, y = ctx.var("x"), ctx.var("y")
     law = custom_law(x + y - x * y)
     gctx = law.geometry_context(["u"])

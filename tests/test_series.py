@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from occ.fgl import make_law
 from occ.series import (
     CalculusError,
     Context,
@@ -10,7 +11,6 @@ from occ.series import (
     NotAUnit,
     NotDivisible,
     NotSymmetric,
-    RequiresRationals,
     Series,
     SubstitutionError,
     Var,
@@ -25,7 +25,7 @@ from occ.series import (
 
 
 def ctx2(n=6):
-    return Context((Var("x", 1, True), Var("y", 1, True)), n, "rationals")
+    return Context((Var("x", 1, True), Var("y", 1, True)), n)
 
 
 def test_constants_and_vars():
@@ -137,7 +137,7 @@ def test_exact_divide_random_roundtrip():
 
 
 def test_elementary_symmetric():
-    c = Context(tuple(Var(f"x{i}", 1, True) for i in (1, 2, 3)), 6, "rationals")
+    c = Context(tuple(Var(f"x{i}", 1, True) for i in (1, 2, 3)), 6)
     xs = [c.var(f"x{i}") for i in (1, 2, 3)]
     e1 = elementary_symmetric(xs, 1, one=c.one())
     e2 = elementary_symmetric(xs, 2, one=c.one())
@@ -154,7 +154,6 @@ def test_symmetric_reduce_roundtrip():
     base = Context(
         (Var("x1", 1, True), Var("x2", 1, True), Var("e1", 1, True), Var("e2", 2, True)),
         6,
-        "rationals",
     )
     x1, x2 = base.var("x1"), base.var("x2")
     p = x1**2 + x2**2 + 3 * x1 * x2 + x1 + x2
@@ -174,10 +173,12 @@ def test_exp_log_roundtrip():
     assert coeff == Fraction(1, 120)
 
 
-def test_exp_requires_rationals():
-    c = Context((Var("x", 1, True),), 6, "integers")
-    with pytest.raises(RequiresRationals, match="requires rational coefficients"):
-        exp_of(c.var("x"))
+def test_exp_and_log1p_reject_non_nilpotent_arguments():
+    # m1 has weight 0, so its powers never vanish under truncation
+    m1 = make_law("universal", 3).context.var("m1")
+    for fn in (exp_of, log1p_of):
+        with pytest.raises(SubstitutionError, match="non-nilpotent substitution"):
+            fn(m1)
 
 
 def test_substitute_basics():
@@ -193,7 +194,7 @@ def test_substitute_basics():
 def test_substitute_rejects_image_of_lower_weight():
     # x -> m1 is no ring map at N = 2: x*x*x is zero there, but the product
     # of three images of x is m1^3
-    c = Context((Var("x", 1, True), Var("z", 2, True), Var("m1", 1, False)), 2, "rationals")
+    c = Context((Var("x", 1, True), Var("z", 2, True), Var("m1", 1, False)), 2)
     x, z, m1 = c.var("x"), c.var("z"), c.var("m1")
     assert (x * x * x).is_zero
     assert not (m1 * m1 * m1).is_zero
@@ -220,7 +221,7 @@ def test_to_context_retruncates():
 
 def test_weighted_variables():
     """Variables may carry degree > 1; weight counts degree times exponent."""
-    c = Context((Var("a", 1, True), Var("b", 2, True)), 4, "rationals")
+    c = Context((Var("a", 1, True), Var("b", 2, True)), 4)
     a, b = c.var("a"), c.var("b")
     assert (b**3).is_zero  # weight 6 > 4
     assert not (a**2 * b).is_zero  # weight 4
@@ -228,7 +229,7 @@ def test_weighted_variables():
 
 
 def test_non_nilpotent_generators_never_truncate():
-    c = Context((Var("x", 1, True), Var("m", -1, False)), 3, "rationals")
+    c = Context((Var("x", 1, True), Var("m", -1, False)), 3)
     x, m = c.var("x"), c.var("m")
     p = m**7 * x
     assert not p.is_zero

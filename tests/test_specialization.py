@@ -7,10 +7,6 @@ from occ.bundles import SplitBundle
 from occ.fgl import make_law
 from occ.series import (
     CalculusError,
-    Context,
-    INTEGERS,
-    RequiresRationals,
-    Var,
     exp_of,
     first_difference,
 )
@@ -193,12 +189,6 @@ def test_twisted_c1_rejects_unknown_mode():
     u = law.geometry_context(["u"]).var("u")
     with pytest.raises(CalculusError, match="unknown twist mode"):
         twisted_c1("t-double-prime", u)
-
-
-def test_todd_prime_requires_rationals():
-    ctx = Context((Var("u", 1, True),), 5, INTEGERS)
-    with pytest.raises(RequiresRationals, match="requires rational coefficients"):
-        todd_prime_at_dual(ctx.var("u"))
 
 
 # -- Euler characteristics -------------------------------------------------------------
