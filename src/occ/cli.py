@@ -268,8 +268,7 @@ def build_suite(name, truncation) -> Report:
         reps = [grr_check(r, k) for r in (2, 3) for k in range(5)]
         return merge_reports("check grr[r=2..3, k=0..4]", reps)
     if name == "fgl-theorem":
-        # the universal law runs one order lower: the two-variable identity
-        # with tower classes is the most expensive computation in the suite
+        # the universal law runs one order lower (n_univ, printed in the header)
         n_univ = max(3, truncation - 1)
         reps = [
             geometric_fgl_check(make_law("additive", truncation)),
@@ -400,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run a named identity suite")
     p.add_argument("suite", choices=SUITES)
-    p.add_argument("--trunc", type=_int_at_least(1), default=6, help="truncation order (default 6)")
+    p.add_argument("--trunc", type=_int_at_least(1), default=6,
+                   help="truncation order (default 6); grr runs at fixed orders and ignores it")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.set_defaults(func=cmd_check)
 

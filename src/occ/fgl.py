@@ -88,14 +88,19 @@ class FormalGroupLaw:
     def log(self) -> Series:
         """The logarithm l(x) with l(F(x, y)) = l(x) + l(y).
 
-        The built-in laws set it in closed form.  A custom law computes it
-        from the classical formula l'(x) = 1 / (dF/dy)(x, 0) by termwise
-        integration, then verifies it against the defining identity.
+        The built-in laws set it in closed form.  A custom law checks
+        F(x, 0) = x and F(0, y) = y, computes it from the classical formula
+        l'(x) = 1 / (dF/dy)(x, 0) by termwise integration, then verifies it
+        against the defining identity; any failure is "no logarithm".
         """
         if self._log is not None:
             return self._log
         ctx = self.context
         ix = ctx.index(self.x)
+        xs, ys = ctx.var(self.x), ctx.var(self.y)
+        restrict = self.F.partial_coefficient
+        if restrict({self.y: 0}) != xs or restrict({self.x: 0}) != ys:
+            raise CalculusError("law has no logarithm at this truncation")
         g = self.invariant_differential()
         ell = {}
         for m, c in g.terms.items():
@@ -103,7 +108,6 @@ class FormalGroupLaw:
             if ctx.weight(key) <= ctx.truncation:
                 ell[key] = div_coeff(c, m[ix] + 1)
         ell = Series(ctx, ell, _trusted=True)
-        xs, ys = ctx.var(self.x), ctx.var(self.y)
         lhs = ell.substitute({self.x: self.apply(xs, ys)}, into=ctx)
         if lhs != ell + ell.substitute({self.x: ys}, into=ctx):
             raise CalculusError("law has no logarithm at this truncation")

@@ -9,7 +9,8 @@ generator t (the first Chern class of O(1)) modulo the relation
 which is weight-homogeneous of weight r with leading coefficient (-1)^r.
 `reduce` rewrites t^r via f and so normalizes every element to t-degree < r.
 A tower of projective bundles is a chain of such rings, each over the
-context of the one below, and is pushed down one level at a time.
+context of the one below (`TowerRing`).  The standard tower's point
+classes follow instead from the one class of P(L + O) by a recursion.
 
 `pushforward` implements the Gysin map along P(E) -> X by Quillen's residue
 formula pi_!(p) = Res_t p(t) w(t) / prod_j F(t, x_j), w = 1 / F_y(t, 0).
@@ -43,7 +44,6 @@ from .series import (
     div_coeff,
     exact_divide,
     exp_of,
-    invert_unit,
     log1p_of,
 )
 from .bundles import SplitBundle
@@ -376,44 +376,40 @@ class TowerRing:
         return self.push_to_base(self.rings[level - 1].context.one(), level)
 
 
+def _line_class(law) -> Series:
+    """[P(L + O)] over `law.geometry_context(["u"])`, exact through N; cached."""
+    if "line" not in law._templates:
+        ctx = law.geometry_context(["u"])
+        ring = ProjBundleRing(SplitBundle(law, [ctx.var("u"), ctx.zero()]), "t")
+        law._templates["line"] = ring.pushforward(ring.context.one())
+    return law._templates["line"]
+
+
 def tower_classes(law, depth) -> list:
     """[P_0], ..., [P_depth] for the standard tower over a point.
 
-    Each pushforward level consumes one weight of precision from the level
-    above, so the constants are exact for depth <= N+1; deeper towers are
-    evaluated at an internally raised truncation (canonical laws only).
-    The classes are cached on the law; each call returns a new list.
+    The tower-ratio identity gives [P_0] = 1, [P_{n+1}] = sum_{i<=n} G_i
+    [P_{n-i}] for G(u) = sum_i G_i u^i = [P(L + O)]; G_i, i < depth, needs
+    the law at max(N, depth - 1) (canonical laws only above N).  The
+    classes are cached on the law; each call returns a new list.
     """
     key = ("tower", depth)
     if key not in law._templates:
-        work = law if depth <= law.truncation + 1 else law.at_truncation(depth - 1)
-        tower = TowerRing(work, depth)
-        out = [tower.point_class(k) for k in range(depth + 1)]
-        if work is not law:
-            ctx = law.geometry_context([])
-            out = [c.substitute({}, into=ctx) for c in out]
+        ctx = law.geometry_context([])
+        out = [ctx.one()]
+        if depth:
+            G = _line_class(law.at_truncation(max(law.truncation, depth - 1)))
+            g = [G.partial_coefficient({"u": i}).to_context(ctx) for i in range(depth)]
+            for n in range(depth):
+                out.append(sum((g[i] * out[n - i] for i in range(n + 1)), ctx.zero()))
         law._templates[key] = out
     return list(law._templates[key])
 
 
 def class_of_proj_line(law, u: Series) -> Series:
-    """[P(L + O)] for a line with Euler class u, via the tower-ratio identity.
-
-    Equals (sum_i [P_{i+1}] u^i) / (sum_i [P_i] u^i); the denominator is a
-    unit because [P_0] = 1.
-    """
-    ctx = u.context
-    N = ctx.truncation
-    classes = tower_classes(law, N + 1)
-    cl = [c.substitute({}, into=ctx) for c in classes]
-    num = ctx.zero()
-    den = ctx.zero()
-    pw = ctx.one()
-    for i in range(N + 1):
-        num = num + cl[i + 1] * pw
-        den = den + cl[i] * pw
-        pw = pw * u
-    return num * invert_unit(den)
+    """[P(L + O)] for a line with Euler class u, the law at u's truncation."""
+    G = _line_class(law.at_truncation(u.context.truncation))
+    return G.substitute({"u": u}, into=u.context)
 
 
 # -- the geometric law identity ---------------------------------------------------

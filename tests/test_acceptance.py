@@ -16,14 +16,16 @@ from occ.bundles import SplitBundle, whitney_check
 from occ.fgl import make_law
 from occ.projective import (
     ProjBundleRing,
+    TowerRing,
     class_of_proj_line,
     geometric_fgl_check,
     pb_relation_check,
     projection_formula_check,
     pushforward_p1_formula,
     sequence_extend,
+    tower_classes,
 )
-from occ.series import first_difference
+from occ.series import first_difference, invert_unit
 from occ.specialization import (
     SpecializationMap,
     grr_check,
@@ -153,16 +155,23 @@ def test_10_geometric_law_identity():
 
 
 def test_11_proj_line_ratio_identity():
-    # the tower-ratio expression for [P(L+O)] equals the direct residue
-    # pushforward of 1, all three laws at N=6
+    # the tower classes from the recursion in [P(L+O)] equal the iterated
+    # pushforwards of the tower itself (depth 7), and [P(L+O)] equals the
+    # ratio (sum_i [P_{i+1}] u^i) / (sum_i [P_i] u^i) of those iterated
+    # classes; all three laws at N=6
     for kind in LAW_KINDS:
         law = make_law(kind, 6)
+        tower = TowerRing(law, 7)
+        iterated = [tower.point_class(k) for k in range(8)]
+        for k, (got, want) in enumerate(zip(tower_classes(law, 7), iterated)):
+            assert first_difference(got, want) is None, (kind, k)
         ctx = law.geometry_context(["u"])
         u = ctx.var("u")
-        ring = ProjBundleRing(SplitBundle(law, [u, ctx.zero()]), "s")
-        direct = ring.pushforward(ring.context.one())
-        ratio = class_of_proj_line(law, u)
-        assert first_difference(ratio, direct) is None, kind
+        cl = [c.to_context(ctx) for c in iterated]
+        num = sum((cl[i + 1] * u**i for i in range(7)), ctx.zero())
+        den = sum((cl[i] * u**i for i in range(7)), ctx.zero())
+        ratio = num * invert_unit(den)
+        assert first_difference(class_of_proj_line(law, u), ratio) is None, kind
 
 
 def test_12_relation_recursion_stabilizes():

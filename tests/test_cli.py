@@ -132,6 +132,25 @@ def test_run_inverse_and_n_series(tmp_path, capsys):
     assert two_series.replace(" ", "") == "2*x-x^2"
 
 
+@pytest.mark.parametrize(
+    "coefficients",
+    [
+        {"1,0": "1", "0,1": "1", "2,0": "1"},  # x + y + x^2
+        {"1,1": "1"},  # xy
+        {"0,0": "1", "1,0": "1", "0,1": "1"},  # 1 + x + y
+    ],
+)
+def test_run_non_group_law_has_one_message(tmp_path, capsys, coefficients):
+    task = {
+        "law": {"coefficients": coefficients},
+        "truncation": 4,
+        "actions": [{"op": "n-series", "k": 2}],
+    }
+    code, _, err = run_cli(capsys, ["run", write_task(tmp_path, task)])
+    assert code == 1
+    assert "law has no logarithm at this truncation" in err
+
+
 # -- run: validation and error handling ------------------------------------------------
 
 

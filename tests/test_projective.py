@@ -309,6 +309,19 @@ def test_tower_classes_are_cached_per_law():
     assert [str(c) for c in tower_classes(make_law("universal", 4), 4)] == expected
 
 
+@pytest.mark.parametrize("kind", ["additive", "multiplicative", "universal"])
+def test_tower_classes_restrict_from_one_order_up(kind):
+    # the classes at N equal those at N + 1 with m_N = 0, for every depth up
+    # to N + 2, which includes the raised-law branch for depth > N + 1
+    for N in range(2, 6):
+        lo, hi = make_law(kind, N), make_law(kind, N + 1)
+        point = lo.geometry_context([])
+        drop = {f"m{N}": 0} if kind == "universal" else {}
+        for depth in range(N + 3):
+            restricted = [c.substitute(drop, into=point) for c in tower_classes(hi, depth)]
+            assert restricted == tower_classes(lo, depth), (N, depth)
+
+
 def test_class_of_proj_line_matches_direct_pushforward():
     for kind, trunc in (("additive", 5), ("multiplicative", 5), ("universal", 4)):
         law = make_law(kind, trunc)
