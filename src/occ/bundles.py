@@ -16,7 +16,6 @@ import random
 from .series import (
     CalculusError,
     Series,
-    Var,
     elementary_symmetric,
 )
 from .reports import CheckItem, Report, difference_detail
@@ -85,25 +84,16 @@ class SplitBundle:
         Returned over the context extended by a fresh degree-1 nilpotent
         variable `t`; equals prod_i (iota(x_i) - t), so it is
         weight-homogeneous of weight r with leading coefficient (-1)^r.
+        It is the relation of the ring of P(E).
         """
-        if t in self.context.names:
-            raise CalculusError("variable collision")
-        ext = self.context.extend([Var(t, 1, True)])
-        ts = ext.var(t)
-        acc = ext.zero()
-        for i, a in enumerate(self.relation_coefficients(ext)):
-            acc = acc + a * ts**i
-        return acc
+        from .projective import ProjBundleRing
 
-    def relation_coefficients(self, ring_context=None) -> list:
+        return ProjBundleRing(self, t).relation
+
+    def relation_coefficients(self) -> list:
         """[a_0..a_r] with f(t) = sum a_i t^i, each a_i in the bundle's context."""
         dual = self.dual()
-        out = []
-        for i in range(self.rank + 1):
-            out.append(dual.chern(self.rank - i) * ((-1) ** i))
-        if ring_context is not None:
-            out = [a.substitute({}, into=ring_context) for a in out]
-        return out
+        return [dual.chern(self.rank - i) * ((-1) ** i) for i in range(self.rank + 1)]
 
 
 def _random_root(rng, law, vs):

@@ -38,6 +38,12 @@ EXIT_USAGE = 2
 LAW_KINDS = ("additive", "multiplicative", "universal")
 SUITES = ("fgl-axioms", "whitney", "pbf", "cf", "grr", "fgl-theorem")
 
+# Size limits of the command line and of task files; a request above them
+# exits 2.  The README lists the time of the slowest request at the limits.
+MAX_TRUNCATION = 10
+MAX_DEPTH = 11
+MAX_RANK = 10
+
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _RESERVED = {"F", "inv", "t"}
 
@@ -130,8 +136,8 @@ _ACTION_FIELDS = {
 
 def _validate_task(task):
     truncation = task.get("truncation", 6)
-    if not isinstance(truncation, int) or truncation < 1:
-        raise TaskError("truncation must be an integer >= 1")
+    if type(truncation) is not int or not 1 <= truncation <= MAX_TRUNCATION:
+        raise TaskError(f"truncation must be an integer from 1 to {MAX_TRUNCATION}")
     variables = task.get("variables", [])
     if not isinstance(variables, list) or len(set(variables)) != len(variables):
         raise TaskError("variables must be a list of distinct names")
@@ -374,19 +380,23 @@ def cmd_pbf(args) -> int:
 # -- argument parsing ----------------------------------------------------------------
 
 
-def _int_at_least(low):
-    """An argparse type for integers >= `low`; anything else exits 2."""
+def _int_in(low, high):
+    """An argparse type for integers from `low` to `high`; anything else exits 2."""
 
     def integer(text):
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
 
     return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
+    trunc = _int_in(1, MAX_TRUNCATION)
+    trunc_help = f"truncation order 1..{MAX_TRUNCATION} (default 6)"
     parser = argparse.ArgumentParser(
         prog="occ",
         description="Exact Chern-class and pushforward calculus over formal group laws.",
@@ -399,25 +409,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run a named identity suite")
     p.add_argument("suite", choices=SUITES)
-    p.add_argument("--trunc", type=_int_at_least(1), default=6,
-                   help="truncation order (default 6); grr runs at fixed orders and ignores it")
+    p.add_argument("--trunc", type=trunc, default=6,
+                   help=trunc_help + "; grr runs at fixed orders and ignores it")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("grr", help="Riemann-Roch check on P^(r-1) for O(k)")
-    p.add_argument("r", type=_int_at_least(2))
+    p.add_argument("r", type=_int_in(2, MAX_RANK), help=f"rank 2..{MAX_RANK}")
     p.add_argument("k", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_grr)
 
     p = sub.add_parser("chi", help="K-theory Euler characteristic vs the binomial oracle")
-    p.add_argument("r", type=_int_at_least(1))
+    p.add_argument("r", type=_int_in(1, MAX_RANK), help=f"rank 1..{MAX_RANK}")
     p.add_argument("k", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_chi)
 
     p = sub.add_parser("cf", help="Conner-Floyd specialization battery")
-    p.add_argument("--trunc", type=_int_at_least(1), default=6)
+    p.add_argument("--trunc", type=trunc, default=6, help=trunc_help)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_cf)
@@ -426,23 +436,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--law", choices=LAW_KINDS, default="universal")
     p.add_argument(
         "--trunc",
-        type=_int_at_least(1),
+        type=trunc,
         default=None,
-        help="truncation order (default 5 for universal, 6 otherwise)",
+        help=f"truncation order 1..{MAX_TRUNCATION} (default 5 for universal, 6 otherwise)",
     )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_fglcheck)
 
     p = sub.add_parser("tower", help="classes of the standard projective-line tower")
     p.add_argument("--law", choices=LAW_KINDS, default="universal")
-    p.add_argument("--depth", type=_int_at_least(0), required=True)
-    p.add_argument("--trunc", type=_int_at_least(1), default=6)
+    p.add_argument("--depth", type=_int_in(0, MAX_DEPTH), required=True,
+                   help=f"depth 0..{MAX_DEPTH}")
+    p.add_argument("--trunc", type=trunc, default=6, help=trunc_help)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_tower)
 
     p = sub.add_parser("pbf", help="reduce or push forward a t-polynomial on P(E)")
     p.add_argument("--law", choices=LAW_KINDS, default="additive")
-    p.add_argument("--trunc", type=_int_at_least(1), default=6)
+    p.add_argument("--trunc", type=trunc, default=6, help=trunc_help)
     p.add_argument("--roots", required=True, help="comma-separated root expressions")
     p.add_argument("--element", required=True, help="a t-polynomial expression")
     p.add_argument("--action", choices=("reduce", "pushforward"), required=True)

@@ -7,7 +7,12 @@ generator t (the first Chern class of O(1)) modulo the relation
     f(t) = sum_{i=0}^{r} (-1)^i c_{r-i}(E*) t^i  =  prod_i (iota(x_i) - t),
 
 which is weight-homogeneous of weight r with leading coefficient (-1)^r.
-`reduce` rewrites t^r via f and so normalizes every element to t-degree < r.
+The ring is free over the base on 1, t, ..., t^(r-1), and f fixes every
+higher power of t, so a base-linear map out of it is the list of images of
+those r powers: `reduce` sends t^k, k < r, to itself (the normal form, of
+t-degree < r) and `pushforward` to pi_!(t^k); both extend their list by the
+relation's recursion (`ProjBundleRing._map_by_powers`).
+
 A tower of projective bundles is a chain of such rings, each over the
 context of the one below (`TowerRing`).  The standard tower's point
 classes follow instead from the one class of P(L + O) by a recursion.
@@ -99,8 +104,8 @@ class ProjBundleRing:
     """The ring of P(E) presented over the ring of the base.
 
     Elements are ordinary series over `self.context` (the base context plus
-    the tautological class `t`); `reduce` brings them to the normal form with
-    t-degree below the rank.
+    the tautological class `t`).  `reduce` and `pushforward` are base-linear
+    maps, each given by the images of 1, t, ..., t^(r-1) (`_map_by_powers`).
     """
 
     def __init__(self, bundle: SplitBundle, t="t"):
@@ -113,18 +118,12 @@ class ProjBundleRing:
         self.parent_context = bundle.context
         self.context = bundle.context.extend([Var(t, 1, True)])
         self._base_coefficients = bundle.relation_coefficients()
-        coeffs = [self.lift(a) for a in self._base_coefficients]
+        self._coefficients = [self.lift(a) for a in self._base_coefficients]
         ts = self.context.var(t)
-        rel = self.context.zero()
-        for i, a in enumerate(coeffs):
-            rel = rel + a * ts**i
-        self.relation = rel
-        # rewrite polynomial G with t^rank == G modulo the relation
-        inv_lead = div_coeff(1, coeffs[self.rank].constant_term)  # (-1)^rank
-        G = self.context.zero()
-        for i in range(self.rank):
-            G = G - coeffs[i] * ts**i * inv_lead
-        self._G = G
+        self.relation = sum(
+            (a * ts**i for i, a in enumerate(self._coefficients)), self.context.zero()
+        )
+        self._normal_forms = [ts**k for k in range(self.rank)]
         self._images = None
 
     def __repr__(self):
@@ -138,56 +137,49 @@ class ProjBundleRing:
         return self.context.var(name)
 
     def reduce(self, p: Series) -> Series:
-        """Normal form: rewrite t^rank via the relation."""
-        if p.context != self.context:
-            raise ContextMismatch("incompatible contexts")
-        r = self.rank
-        terms = p.terms
-        # Rewrite all of t^{>=r} at once per pass: every term of G carries
-        # positive base weight, so the high part gains weight each pass and
-        # the loop ends within the truncation bound.
-        while True:
-            low = {}
-            high = {}
-            for m, c in terms.items():
-                if m[-1] >= r:
-                    high[m[:-1] + (m[-1] - r,)] = c
-                else:
-                    low[m] = c
-            if not high:
-                return Series(self.context, low, _trusted=True)
-            prod = Series(self.context, high, _trusted=True) * self._G
-            terms = (Series(self.context, low, _trusted=True) + prod).terms
+        """Normal form: the representative of p's class of t-degree < rank.
+
+        The base-linear map sending t^k, k < rank, to itself.
+        """
+        return self._map_by_powers(p, self.context, self._coefficients, self._normal_forms)
 
     def pushforward(self, p: Series) -> Series:
         """Gysin pushforward to the base ring by the residue formula.
 
-        The map is linear over the base: p is split by t-degree and assembled
-        from the images of t^k, which are exact through weight N, so the
-        result is exact through weight N for any polynomial p.  Rank one is
-        evaluation at t = iota(x).  Multiples of the relation map to zero, so
-        any representative of a class may be passed; the result is the image
-        of the given one and is not reduced.
+        The base-linear map sending t^k, k < rank, to its template image
+        (`pushforward_template`); at rank one P(L) = X and 1 goes to 1.  The
+        images are exact through weight N, so the result is exact through
+        weight N for any polynomial p.  Multiples of the relation map to
+        zero, so any representative of a class may be passed; the result is
+        the image of the given one and is not reduced.
+        """
+        parent, r, a = self.parent_context, self.rank, self._base_coefficients
+        if self._images is None:
+            self._images = [parent.one()]  # rank one: P(L) = X
+            if r > 1:
+                # e_i = c_i(E*) = (-1)^(r-i) a_{r-i}
+                e = {f"e{i}": a[r - i] * (-1) ** (r - i) for i in range(1, r + 1)}
+                tks = [pushforward_template(self.law, parent.truncation, r, k) for k in range(r)]
+                self._images = [tk.substitute(e, into=parent) for tk in tks]
+        return self._map_by_powers(p, parent, a, self._images)
+
+    def _map_by_powers(self, p, into, cs, images):
+        """sum_k p_k images[k] over `into` for p = sum_k p_k t^k.
+
+        `images` starts with the images of t^0..t^(r-1); the relation
+        sum_i cs[i] t^i extends it in place as far as p's t-degree needs.
+        `into` is the base context or the ring's own (the p_k keep t^0).
         """
         if p.context != self.context:
             raise ContextMismatch("incompatible contexts")
-        parent = self.parent_context
-        r = self.rank
-        a = self._base_coefficients
-        if r == 1:  # evaluate at t = a_0 = c_1(E*) = iota(x)
-            return p.substitute({self.t: a[0]}, into=parent)
+        pad = (0,) * (into is self.context)
         split = {}
         for m, c in p.terms.items():
-            split.setdefault(m[-1], {})[m[:-1]] = c
-        if self._images is None:
-            templates = [pushforward_template(self.law, parent.truncation, r, k) for k in range(r)]
-            # e_i = c_i(E*) = (-1)^(r-i) a_{r-i}
-            mapping = {f"e{i}": a[r - i] * (-1) ** (r - i) for i in range(1, r + 1)}
-            self._images = [tk.substitute(mapping, into=parent) for tk in templates]
-        _extend_by_relation(a, self._images, max(split, default=0))
-        out = parent.zero()
+            split.setdefault(m[-1], {})[m[:-1] + pad] = c
+        _extend_by_relation(cs, images, max(split, default=0))
+        out = into.zero()
         for k, sub in sorted(split.items()):
-            out = out + Series(parent, sub, _trusted=True) * self._images[k]
+            out = out + Series(into, sub, _trusted=True) * images[k]
         return out
 
 
@@ -418,11 +410,13 @@ def class_of_proj_line(law, u: Series) -> Series:
 def geometric_fgl_check(law, names=("u1", "u2")) -> Report:
     """Verify F(u1,u2) * (1 + u1 u2 ([P2]-[P3])) = u1 + u2 - u1 u2 [P1].
 
-    P1 = P(L1+O) and P2 = P(L1 + L1 L2 + O); P3 = P(O(-1)+O) over
+    P1 = P(L1+O) and P2 = P(L2 + L1 L2 + O); P3 = P(O(-1)+O) over
     P(L2 + L1 L2), all classes computed by residue pushforwards of 1.
     The identity holds only with [P1] and the base of [P3] on
-    complementary lines: pairing both with L1 breaks it at weight 4
-    (first at the u1^3 u2 coefficient, universal law).
+    complementary lines (pairing both with L1 breaks it at weight 4, first
+    at the u1^3 u2 coefficient, universal law) and with P2 on the lines of
+    P3's base: P2 = P(L1 + L1 L2 + O) breaks it at weight 6 (first at
+    u1^5 u2 m1^5, universal law at N = 6).
     """
     ctx = law.geometry_context(names)
     u1, u2 = ctx.var(names[0]), ctx.var(names[1])
@@ -432,7 +426,7 @@ def geometric_fgl_check(law, names=("u1", "u2")) -> Report:
     ring1 = ProjBundleRing(SplitBundle(law, [u1, zero]), "s1")
     p1 = ring1.pushforward(ring1.context.one())
 
-    ring2 = ProjBundleRing(SplitBundle(law, [u1, F12, zero]), "s1")
+    ring2 = ProjBundleRing(SplitBundle(law, [u2, F12, zero]), "s1")
     p2 = ring2.pushforward(ring2.context.one())
 
     # [P3] passes through two pushforward levels and the inner truncation

@@ -124,7 +124,7 @@ class Context:
         for v in vs:
             if v.nilpotent and v.degree < 1:
                 raise CalculusError(f"nilpotent variable {v.name} must have degree >= 1")
-        if not isinstance(truncation, int) or truncation < 1:
+        if type(truncation) is not int or truncation < 1:
             raise CalculusError("truncation order must be a positive integer")
         self.truncation = truncation
         self._index = {v.name: i for i, v in enumerate(vs)}

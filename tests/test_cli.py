@@ -185,6 +185,8 @@ def test_run_missing_file(capsys):
         ({"actions": [{"op": "n-series", "k": [1]}]}, "must be an integer"),
         ({"actions": [{"op": "chern", "bundle": "E", "k": 2.5}]}, "must be an integer"),
         ({"actions": [{"op": "coefficient", "i": "1", "j": 1}]}, "must be an integer"),
+        ({"truncation": True}, "truncation"),
+        ({"truncation": 11}, "truncation"),
     ],
 )
 def test_run_validation_failures(tmp_path, capsys, mutation, message):
@@ -250,6 +252,14 @@ def test_no_arguments_is_usage_error():
         ["grr", "1", "3"],
         ["tower", "--depth", "-1"],
         ["tower", "--depth", "two"],
+        ["check", "cf", "--trunc", "11"],
+        ["cf", "--trunc", "11"],
+        ["fglcheck", "--trunc", "11"],
+        ["tower", "--depth", "2", "--trunc", "11"],
+        ["tower", "--depth", "12"],
+        ["pbf", "--trunc", "11", "--roots", "u", "--element", "t", "--action", "reduce"],
+        ["chi", "11", "3"],
+        ["grr", "11", "3"],
     ],
 )
 def test_out_of_range_arguments_are_usage_errors(argv):

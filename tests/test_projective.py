@@ -16,7 +16,7 @@ from occ.projective import (
     sequence_extend,
     tower_classes,
 )
-from occ.series import CalculusError, Context, ContextMismatch, Var
+from occ.series import CalculusError, Context, ContextMismatch, Var, exact_divide, invert_unit
 
 
 def rand_poly(rng, ctx, names, terms=4, max_pow=2):
@@ -84,6 +84,30 @@ def test_reduce_kills_relation_times_anything():
     for _ in range(4):
         p = rand_poly(rng, ring.context, ["u1", "t"])
         assert ring.reduce(ring.relation * p).is_zero
+
+
+@pytest.mark.parametrize("kind", ["additive", "multiplicative", "universal"])
+def test_reduce_is_the_normal_form(kind):
+    # p - reduce(p) is a multiple of the relation and reduce(p) has t-degree
+    # below the rank: the remainder of p on division by f(t)
+    rng = random.Random(15)
+    names = ["v1", "v2"]
+    for N in (3, 4, 5):
+        law = make_law(kind, N)
+        ctx = law.geometry_context(names)
+        vs = [ctx.var(n) for n in names]
+        for r in range(1, min(3, N) + 1):
+            roots = [_random_root(rng, law, vs) for _ in range(r)]
+            ring = ProjBundleRing(SplitBundle(law, roots), "t")
+            t = ring.var("t")
+            for _ in range(2):
+                p = sum(
+                    (_random_element(rng, ring.context, names) * t**d for d in range(N + 1)),
+                    ring.context.zero(),
+                )
+                q = ring.reduce(p)
+                exact_divide(p - q, ring.relation)
+                assert all(m[-1] < r for m in q.terms), (kind, N, ring.bundle)
 
 
 def test_reduce_rejects_foreign_context():
@@ -415,6 +439,63 @@ def test_sequence_extend_error_paths():
         sequence_extend([ctx.one()], [], 4)
     with pytest.raises(CalculusError, match="length"):
         sequence_extend([u, u, -ctx.one()], [ctx.one()], 8)
+
+
+def log_coordinate_pushforward(law, roots, k, ctx):
+    """pi_!(t^k) on P(roots) over ctx, by Riemann-Roch in the logarithmic coordinate.
+
+    With s = l(t), sigma_j = -l(x_j) and Td(y) = y / exp(y):
+    pi_!(t^k) = sum_d [s^d](exp(s)^k prod_j Td(s - sigma_j)) h_{d-r+1}(sigma).
+    `roots` are functions of (law, u, v); the law is raised four orders above
+    ctx's truncation and the result is cut back to ctx.
+    """
+    hi = law.at_truncation(ctx.truncation + 4)
+    work = hi.geometry_context(["u", "v", "s"])
+    u, v, s = work.var("u"), work.var("v"), work.var("s")
+    x, ix = hi.x, hi.context.index(hi.x)
+    sigma = [-hi.log().substitute({x: root(hi, u, v)}, into=work) for root in roots]
+    exp_over_x = {m[:ix] + (m[ix] - 1,) + m[ix + 1 :]: c for m, c in hi.exp().terms.items()}
+    todd = invert_unit(hi.context.series(exp_over_x))
+    integrand = hi.exp().substitute({x: s}, into=work) ** k
+    for sj in sigma:
+        integrand = integrand * todd.substitute({x: s - sj}, into=work)
+    r = len(roots)
+    hs = h_polys(sigma, work.truncation, work)
+    out = work.zero()
+    for d in range(r - 1, work.truncation + 1):
+        out = out + integrand.partial_coefficient({"s": d}) * hs[d - r + 1]
+    return out.to_context(ctx)
+
+
+@pytest.mark.parametrize("kind", ["additive", "multiplicative", "universal"])
+def test_pushforward_matches_log_coordinate_formula(kind):
+    # an independent pushforward: it shares only log, exp, invert_unit and
+    # substitute with the residue template
+    N = 5
+    law = make_law(kind, N)
+    ctx = law.geometry_context(["u", "v"])
+    def iota_u(lw, u, v):
+        return lw.inverse_at(u)
+
+    def f_uv(lw, u, v):
+        return lw.apply(u, v)
+
+    def zero(lw, u, v):
+        return u.context.zero()
+
+    def first(lw, u, v):
+        return u
+
+    def second(lw, u, v):
+        return v
+
+    shapes = ([iota_u], [first, zero], [second, f_uv], [first, first, zero], [first, second, f_uv])
+    u, v = ctx.var("u"), ctx.var("v")
+    for roots in shapes:
+        ring = ProjBundleRing(SplitBundle(law, [root(law, u, v) for root in roots]), "t")
+        for k in range(ring.rank + 2):
+            want = log_coordinate_pushforward(law, roots, k, ctx)
+            assert ring.pushforward(ring.var("t") ** k) == want, (kind, ring.bundle, k)
 
 
 # -- construction errors ------------------------------------------------------------

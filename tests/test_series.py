@@ -104,6 +104,12 @@ def test_context_mismatch_raises():
         a + b
 
 
+@pytest.mark.parametrize("truncation", [0, True, 2.0])
+def test_context_rejects_bad_truncation(truncation):
+    with pytest.raises(CalculusError, match="positive integer"):
+        ctx2(truncation)
+
+
 def test_invert_unit():
     c = ctx2()
     x = c.var("x")
