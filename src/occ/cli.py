@@ -1,8 +1,10 @@
 """Batch front end: task files, named check suites, one-shot computations.
 
 Exit status: 0 when every embedded check passes, 1 when a check fails or a
-computation errors out, 2 for parse or validation problems (bad arguments,
-malformed task files, malformed expressions).
+computation raises a CalculusError, 2 when the input cannot be read (bad
+arguments, malformed task files, law specs, names, roots or expressions).
+`main` is the only place that maps exceptions to statuses.  `pbf` is a
+one-action task: it runs through the same `_run_task` as `run`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .projective import (
     tower_classes,
 )
 from .reports import CheckItem, Report, merge_reports
-from .series import CalculusError, Context, Series, Var
+from .series import CalculusError, Context, Var
 from .specialization import (
     conner_floyd_check,
     grr_check,
@@ -43,6 +45,7 @@ SUITES = ("fgl-axioms", "whitney", "pbf", "cf", "grr", "fgl-theorem")
 MAX_TRUNCATION = 10
 MAX_DEPTH = 11
 MAX_RANK = 10
+MAX_ROOTS = 4  # the rank of a task bundle or of `pbf --roots`
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _RESERVED = {"F", "inv", "t"}
@@ -71,14 +74,6 @@ def _emit_report(rep: Report, as_json: bool) -> int:
     return EXIT_OK if rep.passed else EXIT_FAIL
 
 
-def _emit_series(s: Series, as_json: bool) -> int:
-    if as_json:
-        _emit_json(s.to_json_obj())
-    else:
-        _emit_text([str(s)])
-    return EXIT_OK
-
-
 # -- task files -------------------------------------------------------------------
 
 
@@ -94,6 +89,8 @@ def _load_task(path):
         raise TaskError(
             f"task parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
+        raise TaskError(f"task parse error: {exc}") from None
     if not isinstance(obj, dict):
         raise TaskError("task file must hold a JSON object")
     return obj
@@ -136,14 +133,17 @@ _ACTION_FIELDS = {
 
 def _validate_task(task):
     truncation = task.get("truncation", 6)
-    if type(truncation) is not int or not 1 <= truncation <= MAX_TRUNCATION:
-        raise TaskError(f"truncation must be an integer from 1 to {MAX_TRUNCATION}")
+    error = _range_error(truncation, 1, MAX_TRUNCATION)
+    if error:
+        raise TaskError(f"truncation {error}")
     variables = task.get("variables", [])
-    if not isinstance(variables, list) or len(set(variables)) != len(variables):
+    if not isinstance(variables, list):
         raise TaskError("variables must be a list of distinct names")
     for v in variables:
         if not isinstance(v, str) or not _IDENT.match(v) or v in _RESERVED:
             raise TaskError(f"bad variable name {v!r}")
+    if len(set(variables)) != len(variables):
+        raise TaskError("variables must be a list of distinct names")
     bundles = task.get("bundles", {})
     if not isinstance(bundles, dict):
         raise TaskError("bundles must map names to root lists")
@@ -152,6 +152,8 @@ def _validate_task(task):
             raise TaskError(f"bad bundle name {name!r}")
         if not isinstance(roots, list) or not roots or not all(isinstance(r, str) for r in roots):
             raise TaskError(f"bundle {name!r} must list root expressions")
+        if len(roots) > MAX_ROOTS:
+            raise TaskError(f"bundle {name!r} has {len(roots)} roots, more than {MAX_ROOTS}")
     actions = task.get("actions")
     if not isinstance(actions, list) or not actions:
         raise TaskError("actions must be a non-empty list")
@@ -159,14 +161,15 @@ def _validate_task(task):
         if not isinstance(act, dict) or "op" not in act:
             raise TaskError(f"action {idx} must be an object with an \"op\" field")
         op = act["op"]
-        if op not in _ACTION_FIELDS:
+        if not isinstance(op, str) or op not in _ACTION_FIELDS:
             raise TaskError(f"action {idx}: unknown op {op!r}")
         for fieldname in _ACTION_FIELDS[op]:
             if fieldname not in act:
                 raise TaskError(f"action {idx} ({op}): missing field {fieldname!r}")
-        for fieldname in ("i", "j", "k"):
-            if fieldname in _ACTION_FIELDS[op] and type(act[fieldname]) is not int:
-                raise TaskError(f"action {idx} ({op}): field {fieldname!r} must be an integer")
+            kind = int if fieldname in ("i", "j", "k") else str
+            if type(act[fieldname]) is not kind:
+                what = "an integer" if kind is int else "a string"
+                raise TaskError(f"action {idx} ({op}): field {fieldname!r} must be {what}")
         if "bundle" in _ACTION_FIELDS[op] and act["bundle"] not in bundles:
             raise TaskError(f"action {idx} ({op}): unknown bundle {act['bundle']!r}")
     output = task.get("output", "text")
@@ -206,10 +209,17 @@ def _action_result(act, law, ctx, env, bundles, rings):
     return ring.pushforward(element)
 
 
-def cmd_run(args) -> int:
-    task = _load_task(args.taskfile)
+def _run_task(task):
+    """Validate, build and execute a task: the one path from input to a computation.
+
+    Returns the output format and one result per action.  Bad input raises
+    TaskError or ExprError; a computation's CalculusError names its action.
+    """
     truncation, variables, bundle_decls, actions, output = _validate_task(task)
     law = _build_law(task.get("law", "additive"), truncation)
+    for v in variables:
+        if v in law.coefficient_names:
+            raise TaskError(f"variable {v!r} is a coefficient of the {law.kind} law")
     ctx = law.geometry_context(variables)
     env = {v: ctx.var(v) for v in variables}
     try:
@@ -222,23 +232,23 @@ def cmd_run(args) -> int:
 
     rings = {}
     results = []
-    all_pass = True
     for idx, act in enumerate(actions, 1):
         try:
-            res = _action_result(act, law, ctx, env, bundles, rings)
-        except ExprError as exc:
-            raise TaskError(f"action {idx} ({act['op']}): {exc}") from None
-        except CalculusError as exc:
-            sys.stderr.write(f"action {idx} ({act['op']}): {exc}\n")
-            return EXIT_FAIL
-        if isinstance(res, Report):
-            all_pass = all_pass and res.passed
-        results.append((idx, act["op"], res))
+            results.append(_action_result(act, law, ctx, env, bundles, rings))
+        except CalculusError as exc:  # re-raised as is, so `main` still sees its class
+            exc.args = (f"action {idx} ({act['op']}): {exc}",)
+            raise
+    return output, results
 
+
+def cmd_run(args) -> int:
+    task = _load_task(args.taskfile)
+    output, results = _run_task(task)
+    all_pass = all(res.passed for res in results if isinstance(res, Report))
     if output == "json":
         payload = []
-        for idx, op, res in results:
-            entry = {"index": idx, "op": op}
+        for idx, (act, res) in enumerate(zip(task["actions"], results), 1):
+            entry = {"index": idx, "op": act["op"]}
             if isinstance(res, Report):
                 entry["report"] = res.to_json_obj()
             else:
@@ -247,7 +257,7 @@ def cmd_run(args) -> int:
         _emit_json({"passed": all_pass, "results": payload})
     else:
         lines = []
-        for idx, op, res in results:
+        for res in results:
             if isinstance(res, Report):
                 lines.extend(res.lines())
             else:
@@ -346,38 +356,34 @@ def _split_csv(text):
 
 
 def cmd_pbf(args) -> int:
-    law = make_law(args.law, args.trunc)
-    root_exprs = _split_csv(args.roots)
-    if not root_exprs:
-        raise TaskError("at least one root is required")
-    if args.vars:
-        names = _split_csv(args.vars)
+    """A one-action task: reduce or push forward `--element` on P(E), E = `--roots`."""
+    names = _split_csv(args.vars) if args.vars else list(dict.fromkeys(
+        tok for tok in re.findall(r"[A-Za-z_][A-Za-z0-9_]*", args.roots + " " + args.element)
+        if tok not in _RESERVED
+    ))
+    task = {
+        "law": args.law,
+        "truncation": args.trunc,
+        "variables": names,
+        "bundles": {"E": _split_csv(args.roots)},
+        "actions": [{"op": args.action, "bundle": "E", "element": args.element}],
+    }
+    _, (result,) = _run_task(task)
+    if args.json:
+        _emit_json(result.to_json_obj())
     else:
-        seen = []
-        for tok in re.findall(r"[A-Za-z_][A-Za-z0-9_]*", args.roots + " " + args.element):
-            if tok not in _RESERVED and tok not in seen:
-                seen.append(tok)
-        names = seen
-    for n in names:
-        if not _IDENT.match(n) or n in _RESERVED:
-            raise TaskError(f"bad variable name {n!r}")
-    ctx = law.geometry_context(names)
-    env = {n: ctx.var(n) for n in names}
-    try:
-        bundle = SplitBundle(law, [evaluate(r, env, law, ctx) for r in root_exprs])
-    except CalculusError as exc:
-        if isinstance(exc, ExprError):
-            raise
-        raise TaskError(f"bundle roots: {exc}") from None
-    ring = ProjBundleRing(bundle, "t")
-    ring_env = {k: ring.lift(v) for k, v in env.items()}
-    ring_env["t"] = ring.var("t")
-    element = evaluate(args.element, ring_env, law, ring.context)
-    result = ring.reduce(element) if args.action == "reduce" else ring.pushforward(element)
-    return _emit_series(result, args.json)
+        _emit_text([str(result)])
+    return EXIT_OK
 
 
 # -- argument parsing ----------------------------------------------------------------
+
+
+def _range_error(value, low, high):
+    """Why `value` is no integer from `low` to `high`, or "": for `_int_in` and task files."""
+    if type(value) is int and low <= value <= high:
+        return ""
+    return f"must be an integer from {low} to {high}, got {value!r}"
 
 
 def _int_in(low, high):
@@ -385,10 +391,9 @@ def _int_in(low, high):
 
     def integer(text):
         value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        if value > high:
-            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
+        error = _range_error(value, low, high)
+        if error:
+            raise argparse.ArgumentTypeError(error)
         return value
 
     return integer
@@ -465,14 +470,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place where an exception becomes an exit status."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ExprError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except TaskError as exc:
+    except (TaskError, ExprError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except CalculusError as exc:

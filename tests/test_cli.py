@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 from math import comb
 
@@ -161,6 +162,19 @@ def test_run_malformed_json_reports_position(tmp_path, capsys):
     assert "task parse error at line 2" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param('{"truncation": ' + "7" * 5000 + ', "actions": []}', id="5000-digits"),
+        pytest.param("[" * 100000, id="deep-nesting"),
+    ],
+)
+def test_run_undecodable_json_is_usage_error(tmp_path, capsys, text):
+    code, _, err = run_cli(capsys, ["run", write_task(tmp_path, text)])
+    assert code == 2
+    assert "task parse error" in err
+
+
 def test_run_missing_file(capsys):
     code, _, err = run_cli(capsys, ["run", "/no/such/task.json"])
     assert code == 2
@@ -187,6 +201,12 @@ def test_run_missing_file(capsys):
         ({"actions": [{"op": "coefficient", "i": "1", "j": 1}]}, "must be an integer"),
         ({"truncation": True}, "truncation"),
         ({"truncation": 11}, "truncation"),
+        ({"bundles": {"E": ["u", "0", "u", "0", "u"]}}, "more than 4"),
+        ({"law": "universal", "variables": ["m1"]}, "coefficient of the universal law"),
+        ({"variables": [["u"]]}, "bad variable name"),
+        ({"actions": [{"op": ["chern"]}]}, "unknown op"),
+        ({"actions": [{"op": "euler", "bundle": ["E"]}]}, "must be a string"),
+        ({"actions": [{"op": "expr", "expr": 5}]}, "must be a string"),
     ],
 )
 def test_run_validation_failures(tmp_path, capsys, mutation, message):
@@ -392,6 +412,51 @@ def test_pbf_bad_element_is_usage_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("law", ["additive", "multiplicative", "universal"])
+@pytest.mark.parametrize("action", ["reduce", "pushforward"])
+def test_pbf_is_a_one_action_run(tmp_path, capsys, law, action):
+    roots, element = "F(u,v), inv(u)", "t^3 - 2*u*t + v"
+    argv = ["pbf", "--law", law, "--trunc", "4", "--roots", roots, "--element", element,
+            "--action", action]
+    task = {
+        "law": law,
+        "truncation": 4,
+        "variables": ["u", "v"],
+        "bundles": {"E": ["F(u,v)", "inv(u)"]},
+        "actions": [{"op": action, "bundle": "E", "element": element}],
+    }
+    code, pbf_text, _ = run_cli(capsys, argv)
+    assert code == 0
+    code, run_text, _ = run_cli(capsys, ["run", write_task(tmp_path, task)])
+    assert code == 0
+    assert pbf_text == run_text
+    code, pbf_json, _ = run_cli(capsys, argv + ["--json"])
+    assert code == 0
+    task["output"] = "json"
+    code, run_json, _ = run_cli(capsys, ["run", write_task(tmp_path, task)])
+    assert code == 0
+    assert json.loads(pbf_json) == json.loads(run_json)["results"][0]["series"]
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--law", "universal", "--roots", "m1"], "coefficient of the universal law"),
+        (["--roots", "u", "--vars", "u,u"], "distinct"),
+        (["--roots", "u, v, u, v, u"], "more than 4"),
+        pytest.param(["--roots", "u", "--element", "1" * 5000], "position 1", id="literal"),
+        pytest.param(["--roots", "u", "--element", "(" * 3000 + "t" + ")" * 3000],
+                     "position 51", id="parentheses"),
+        (["--roots", "u", "--element", "2^1000000"], "position 3"),
+    ],
+)
+def test_pbf_bad_input_is_usage_error(capsys, extra, message):
+    argv = ["pbf", "--element", "t", "--action", "reduce"] + extra
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2
+    assert message in err
+
+
 def test_check_small_suite_passes(capsys):
     code, out, _ = run_cli(capsys, ["check", "fgl-axioms", "--trunc", "4"])
     assert code == 0
@@ -461,10 +526,35 @@ def test_expr_division(expr_setting):
 
 @pytest.mark.parametrize(
     "text",
-    ["x +", "(x", "x^y", "z + 1", "x y", "F(x)", "^2", "x // y"],
+    [
+        "x +", "(x", "x^y", "z + 1", "x y", "F(x)", "^2", "x // y",
+        pytest.param("9" * 5000, id="5000-digit-literal"),
+        pytest.param("(" * 3000 + "x" + ")" * 3000, id="3000-parentheses"),
+        pytest.param("-" * 3000 + "x", id="3000-signs"),
+        pytest.param("F(x," * 60 + "y" + ")" * 60, id="60-calls"),
+        "2^1000000",
+        "10^200 * 10^200",
+        "(1 - x)^998",
+    ],
 )
 def test_expr_errors_carry_position(expr_setting, text):
     law, ctx, env = expr_setting
     with pytest.raises(ExprError) as exc:
         evaluate(text, env, law, ctx)
     assert "position" in str(exc.value)
+
+
+def test_huge_power_is_refused_before_it_is_computed(expr_setting):
+    law, ctx, env = expr_setting
+    start = time.process_time()
+    with pytest.raises(ExprError, match="position"):
+        evaluate("((2^1000)^1000)^1000", env, law, ctx)
+    assert time.process_time() - start < 1.0
+
+
+def test_expr_numbers_up_to_the_limit_evaluate(expr_setting):
+    law, ctx, env = expr_setting
+    x = env["x"]
+    assert (evaluate("10^299 * x", env, law, ctx) - 10**299 * x).is_zero
+    assert (evaluate("(1 - x)^996", env, law, ctx) - (1 - x) ** 996).is_zero
+    assert evaluate("x^1000000", env, law, ctx).is_zero
