@@ -10,13 +10,14 @@ one-action task: it runs through the same `_run_task` as `run`.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
 from fractions import Fraction
 
 from .bundles import SplitBundle, whitney_check
-from .exprs import ExprError, evaluate
+from .exprs import MAX_DIGITS, ExprError, evaluate
 from .fgl import custom_law, make_law
 from .projective import (
     ProjBundleRing,
@@ -46,9 +47,18 @@ MAX_TRUNCATION = 10
 MAX_DEPTH = 11
 MAX_RANK = 10
 MAX_ROOTS = 4  # the rank of a task bundle or of `pbf --roots`
+MAX_VARIABLES = 4  # the class variables of a task or of `pbf`
+# An integer field of a task has at most MAX_DIGITS digits, a custom-law
+# coefficient at most MAX_LAW_DIGITS in its numerator and denominator: at
+# N = 10 a coefficient of an n-series multiplies about 10 such k and 9 such
+# law coefficients, which stays below Python's 4300-digit limit for text.
+MAX_LAW_DIGITS = 100
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _RESERVED = {"F", "inv", "t"}
+# a custom-law coefficient: an integer, p/q or a decimal; no exponent, which
+# would make Fraction build 10**exponent before any size check
+_RATIONAL = re.compile(r"\s*[+-]?(\d+(/\d+)?|\d*\.\d*)\s*\Z")
 
 
 class TaskError(Exception):
@@ -107,11 +117,15 @@ def _build_law(spec, truncation):
         for key, val in spec["coefficients"].items():
             try:
                 i, j = (int(part) for part in key.split(","))
+                if not _RATIONAL.match(str(val)):
+                    raise ValueError
                 c = Fraction(str(val))
             except (ValueError, ZeroDivisionError):
                 raise TaskError(f"bad law coefficient {key!r}: {val!r}") from None
             if i < 0 or j < 0:
                 raise TaskError(f"bad law coefficient exponents {key!r}")
+            if max(abs(c.numerator), c.denominator) >= 10**MAX_LAW_DIGITS:
+                raise TaskError(f"law coefficient {key!r} has more than {MAX_LAW_DIGITS} digits")
             f = f + ctx.var("x") ** i * ctx.var("y") ** j * c
         return custom_law(f)
     raise TaskError('law must be a name or {"coefficients": {"i,j": "p/q", ...}}')
@@ -144,6 +158,8 @@ def _validate_task(task):
             raise TaskError(f"bad variable name {v!r}")
     if len(set(variables)) != len(variables):
         raise TaskError("variables must be a list of distinct names")
+    if len(variables) > MAX_VARIABLES:
+        raise TaskError(f"{len(variables)} variables, more than {MAX_VARIABLES}")
     bundles = task.get("bundles", {})
     if not isinstance(bundles, dict):
         raise TaskError("bundles must map names to root lists")
@@ -170,6 +186,10 @@ def _validate_task(task):
             if type(act[fieldname]) is not kind:
                 what = "an integer" if kind is int else "a string"
                 raise TaskError(f"action {idx} ({op}): field {fieldname!r} must be {what}")
+            if kind is int and abs(act[fieldname]) >= 10**MAX_DIGITS:
+                raise TaskError(
+                    f"action {idx} ({op}): field {fieldname!r} has more than {MAX_DIGITS} digits"
+                )
         if "bundle" in _ACTION_FIELDS[op] and act["bundle"] not in bundles:
             raise TaskError(f"action {idx} ({op}): unknown bundle {act['bundle']!r}")
     output = task.get("output", "text")
@@ -469,10 +489,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # one parser per process, built on first use
+
+
 def main(argv=None) -> int:
     """Run one command; the only place where an exception becomes an exit status."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (TaskError, ExprError) as exc:

@@ -18,6 +18,13 @@ every integer n, and the formal inverse is the case n = -1.
 A law carries its own context (the two formal variables plus any coefficient
 generators); geometry contexts for Chern-class computations are derived from
 it so the generators stay available.
+
+Built-in laws are shared, immutable values: `make_law` returns one law per
+(kind, truncation, x, y) for the life of the process, and a universal law
+raised or lowered by `at_truncation` is one law per generator set.  What a
+law computes lazily (logarithm, exponential, inverse, pushforward templates,
+tower classes) depends on the law alone, so every caller shares it.  Custom
+laws are built afresh on every call.
 """
 
 from __future__ import annotations
@@ -40,7 +47,12 @@ UNIVERSAL = "universal"
 
 
 class FormalGroupLaw:
-    """A formal group law F(x, y) together with its ambient context."""
+    """A formal group law F(x, y) together with its ambient context.
+
+    A law is an immutable value.  Its lazy caches (`_log`, `_exp`,
+    `_inverse`, `_templates`) hold deterministic functions of the law, so a
+    built-in law, which `make_law` shares, shares them with every caller.
+    """
 
     def __init__(self, F: Series, kind="custom", x="x", y="y", graded=True):
         self.F = F
@@ -226,29 +238,44 @@ def _fresh_name(base, taken):
 
 # -- constructors ---------------------------------------------------------------
 
+# The built-in laws built so far.  A key is read only for an int truncation
+# (True == 1, yet a law at truncation True must raise as its Context does)
+# and written only once its law is built, so bad input is never cached.
+_SHARED = {}
+
 
 def make_law(kind, truncation, x="x", y="y") -> FormalGroupLaw:
-    """Build one of the three built-in laws at a truncation order."""
-    if kind in (ADDITIVE, MULTIPLICATIVE):
-        ctx = Context([Var(x, 1, True), Var(y, 1, True)], truncation)
-        xs, ys = ctx.var(x), ctx.var(y)
-        if kind == ADDITIVE:
-            law = FormalGroupLaw(xs + ys, ADDITIVE, x, y, graded=True)
-            law._log = law._exp = xs
-        else:
-            # x + y - xy does not respect the grading; the theory is ungraded
-            law = FormalGroupLaw(xs + ys - xs * ys, MULTIPLICATIVE, x, y, graded=False)
-            law._log = -log1p_of(-xs)
-            law._exp = 1 - exp_of(-xs)
-        return law
+    """One of the three built-in laws at a truncation order, shared per arguments."""
     if kind == UNIVERSAL:
         gen_names = tuple(f"m{i}" for i in range(1, truncation))
         return _universal_law(gen_names, truncation, x, y)
-    raise CalculusError(f"unknown law kind {kind!r}")
+    if kind not in (ADDITIVE, MULTIPLICATIVE):
+        raise CalculusError(f"unknown law kind {kind!r}")
+    key = (kind, truncation, x, y)
+    if type(truncation) is int and key in _SHARED:
+        return _SHARED[key]
+    ctx = Context([Var(x, 1, True), Var(y, 1, True)], truncation)
+    xs, ys = ctx.var(x), ctx.var(y)
+    if kind == ADDITIVE:
+        law = FormalGroupLaw(xs + ys, ADDITIVE, x, y, graded=True)
+        law._log = law._exp = xs
+    else:
+        # x + y - xy does not respect the grading; the theory is ungraded
+        law = FormalGroupLaw(xs + ys - xs * ys, MULTIPLICATIVE, x, y, graded=False)
+        law._log = -log1p_of(-xs)
+        law._exp = 1 - exp_of(-xs)
+    _SHARED[key] = law
+    return law
 
 
 def _universal_law(gen_names, truncation, x, y) -> FormalGroupLaw:
-    """exp(log x + log y) for log(x) = x + sum m_i x^(i+1) over given generators."""
+    """exp(log x + log y) for log(x) = x + sum m_i x^(i+1) over given generators.
+
+    Shared per arguments, like `make_law`.
+    """
+    key = (gen_names, truncation, x, y)
+    if type(truncation) is int and key in _SHARED:
+        return _SHARED[key]
     gens = [Var(n, -int(n[1:]), False) for n in gen_names]
     ctx = Context([Var(x, 1, True), Var(y, 1, True)] + gens, truncation)
     xs = ctx.var(x)
@@ -260,6 +287,7 @@ def _universal_law(gen_names, truncation, x, y) -> FormalGroupLaw:
     law = FormalGroupLaw(F, UNIVERSAL, x, y, graded=True)
     law._log = logx
     law._exp = exp
+    _SHARED[key] = law
     return law
 
 

@@ -1,11 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from occ.cli import main
+from occ.cli import MAX_VARIABLES, main
 from occ.exprs import ExprError, evaluate
 from occ.fgl import make_law
 
@@ -207,6 +210,13 @@ def test_run_missing_file(capsys):
         ({"actions": [{"op": ["chern"]}]}, "unknown op"),
         ({"actions": [{"op": "euler", "bundle": ["E"]}]}, "must be a string"),
         ({"actions": [{"op": "expr", "expr": 5}]}, "must be a string"),
+        ({"actions": [{"op": "n-series", "k": 10**300}]}, "more than 300 digits"),
+        ({"actions": [{"op": "n-series", "k": -(10**300)}]}, "more than 300 digits"),
+        ({"actions": [{"op": "chern", "bundle": "E", "k": 10**300}]}, "more than 300 digits"),
+        ({"law": {"coefficients": {"1,1": "1/1" + "0" * 100}}}, "more than 100 digits"),
+        ({"law": {"coefficients": {"1,1": "-1" + "0" * 100}}}, "more than 100 digits"),
+        ({"law": {"coefficients": {"1,1": "1e999999999"}}}, "bad law coefficient"),
+        ({"variables": [f"v{i}" for i in range(MAX_VARIABLES + 1)]}, "variables, more than"),
     ],
 )
 def test_run_validation_failures(tmp_path, capsys, mutation, message):
@@ -341,6 +351,24 @@ def test_huge_k_n_series_and_grr_finish(tmp_path, capsys):
     assert "OK (3/3 passed)" in out
 
 
+def test_largest_numbers_allowed_print(tmp_path, capsys):
+    # the worst case at the limits: a 100-digit coefficient of x + y + c*x*y
+    # and a 300-digit k at N = 10; [k](x) = ((1 + c x)^k - 1)/c, so its x^10
+    # coefficient is binomial(k, 10) c^9, of about 3900 digits
+    c = Fraction(-(10**100 - 1), 10**100 - 3)
+    k = 10**300 - 1
+    law = {"coefficients": {"1,0": "1", "0,1": "1", "1,1": str(c)}}
+    for n in (k, -k):
+        task = {"law": law, "truncation": 10, "output": "json",
+                "actions": [{"op": "inverse"}, {"op": "n-series", "k": n}]}
+        code, out, _ = run_cli(capsys, ["run", write_task(tmp_path, task)])
+        assert code == 0
+        inverse, nseries = (r["series"]["terms"] for r in json.loads(out)["results"])
+        top = {t["monomial"]["x"]: Fraction(t["coeff"]) for t in nseries}[10]
+        assert top == Fraction(comb(n, 10) if n > 0 else comb(-n + 9, 10), 1) * c**9
+        assert Fraction(inverse[-1]["coeff"]) == -((-c) ** 9)
+
+
 def test_fglcheck_additive(capsys):
     code, out, _ = run_cli(capsys, ["fglcheck", "--law", "additive", "--trunc", "4"])
     assert code == 0
@@ -438,6 +466,9 @@ def test_pbf_is_a_one_action_run(tmp_path, capsys, law, action):
     assert json.loads(pbf_json) == json.loads(run_json)["results"][0]["series"]
 
 
+TOO_MANY = [f"v{i}" for i in range(MAX_VARIABLES + 1)]  # one name too many
+
+
 @pytest.mark.parametrize(
     "extra, message",
     [
@@ -448,6 +479,8 @@ def test_pbf_is_a_one_action_run(tmp_path, capsys, law, action):
         pytest.param(["--roots", "u", "--element", "(" * 3000 + "t" + ")" * 3000],
                      "position 51", id="parentheses"),
         (["--roots", "u", "--element", "2^1000000"], "position 3"),
+        (["--roots", "v0", "--vars", ",".join(TOO_MANY)], "variables, more than"),
+        (["--roots", "v0", "--element", "t*(" + "+".join(TOO_MANY) + ")"], "variables, more than"),
     ],
 )
 def test_pbf_bad_input_is_usage_error(capsys, extra, message):
@@ -558,3 +591,73 @@ def test_expr_numbers_up_to_the_limit_evaluate(expr_setting):
     assert (evaluate("10^299 * x", env, law, ctx) - 10**299 * x).is_zero
     assert (evaluate("(1 - x)^996", env, law, ctx) - (1 - x) ** 996).is_zero
     assert evaluate("x^1000000", env, law, ctx).is_zero
+
+
+# -- one warm process -------------------------------------------------------------------
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+MIX_TASK = {
+    "law": "universal",
+    "truncation": 4,
+    "variables": ["u", "v"],
+    "bundles": {"E": ["u", "F(u, v)"]},
+    "actions": [
+        {"op": "inverse"},
+        {"op": "n-series", "k": -3},
+        {"op": "pushforward", "bundle": "E", "element": "t^3 + u*t"},
+    ],
+}
+MIX = [
+    ["check", "fgl-axioms", "--trunc", "3"],
+    ["check", "pbf", "--trunc", "4", "--json"],
+    ["pbf", "--law", "universal", "--trunc", "4", "--roots", "u, inv(v)",
+     "--element", "t^2 + u*t", "--action", "pushforward"],
+    ["pbf", "--law", "multiplicative", "--trunc", "5", "--roots", "u, v, 0",
+     "--element", "t^4", "--action", "pushforward", "--json"],
+    ["tower", "--law", "universal", "--depth", "5", "--trunc", "4"],
+    ["tower", "--law", "multiplicative", "--depth", "3", "--trunc", "3", "--json"],
+    ["chi", "3", "4"],
+    ["run", "task.json"],
+    ["check", "nosuch"],
+    ["run", "bad.json"],
+]
+MIX_RUNNER = """
+import contextlib, io, json, sys
+from occ.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def python(tmp_path, *args):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout
+
+
+def test_one_process_answers_as_fresh_processes(tmp_path):
+    # built-in laws, their caches and the parser are shared within a process;
+    # no request may see what an earlier one left behind
+    (tmp_path / "task.json").write_text(json.dumps(MIX_TASK))
+    (tmp_path / "bad.json").write_text('{"law": "additive", "actions": [}')
+    alone = [list(python(tmp_path, "-m", "occ", *argv)) for argv in MIX]
+    assert [code for code, _ in alone] == [0, 0, 0, 0, 0, 0, 0, 0, 2, 2]
+    for order, want in ((MIX, alone), (MIX[::-1], alone[::-1])):
+        code, out = python(tmp_path, "-c", MIX_RUNNER, json.dumps(order))
+        assert code == 0
+        assert json.loads(out) == want
+
+
+def test_python_dash_m_occ_runs_the_cli(tmp_path, capsys):
+    code, out = python(tmp_path, "-m", "occ", "chi", "3", "4", "--json")
+    assert (code, out) == run_cli(capsys, ["chi", "3", "4", "--json"])[:2]
+    assert python(tmp_path, "-m", "occ")[0] == 2

@@ -275,6 +275,36 @@ def test_at_truncation_custom_law_fails():
         c.at_truncation(6)
 
 
+# -- built-in laws are shared values ---------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["additive", "multiplicative", "universal"])
+def test_built_in_laws_are_shared(kind):
+    law = make_law(kind, 5)
+    assert make_law(kind, 5) is law
+    assert make_law(kind, 5, "a", "b") is not law
+    assert law.formal_inverse() is make_law(kind, 5).formal_inverse()
+    wide = law.at_truncation(7)
+    assert law.at_truncation(7) is wide
+    assert wide.at_truncation(5) is law
+    if kind != "universal":  # a raised universal law keeps its generators m1..m4
+        assert wide is make_law(kind, 7)
+
+
+def test_bad_law_arguments_raise_after_a_valid_build():
+    for kind in ("additive", "multiplicative", "universal"):
+        make_law(kind, 1)
+        for truncation in (True, 0, -1):  # True == 1 must not find the law at 1
+            with pytest.raises(CalculusError, match="truncation"):
+                make_law(kind, truncation)
+    for kind in ("additive", "multiplicative"):
+        with pytest.raises(CalculusError, match="truncation"):
+            make_law(kind, 1.0)
+    for kind in ("elliptic", "Additive", None):
+        with pytest.raises(CalculusError, match="unknown law kind"):
+            make_law(kind, 1)
+
+
 def test_geometry_context_truncation_override():
     law = make_law("multiplicative", 6)
     ctx = law.geometry_context(["u"], truncation=3)

@@ -271,6 +271,27 @@ def test_projection_formula_random():
     assert rep.passed, "\n".join(l for l in rep.lines() if l.startswith("FAIL"))
 
 
+@pytest.mark.parametrize("kind", ["additive", "multiplicative", "universal"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_pushforward_is_base_linear(kind, r):
+    # pi_!(pi^*(a) b1 + b2) = a pi_!(b1) + pi_!(b2) for a base element a; the
+    # product upstairs is cut at N, so the sides agree through N - r + 1
+    N = 5
+    rng = random.Random(10 * r + len(kind))
+    law = make_law(kind, N)
+    names = ["v1", "v2"]
+    ctx = law.geometry_context(names)
+    vs = [ctx.var(n) for n in names]
+    cut = ctx.with_truncation(N - r + 1)
+    for _ in range(3):
+        ring = ProjBundleRing(SplitBundle(law, [_random_root(rng, law, vs) for _ in range(r)]), "t")
+        a = _random_element(rng, ctx, names)
+        b1, b2 = (_random_element(rng, ring.context, names + ["t"]) for _ in range(2))
+        lhs = ring.pushforward(ring.lift(a) * b1 + b2)
+        rhs = a * ring.pushforward(b1) + ring.pushforward(b2)
+        assert (lhs.to_context(cut) - rhs.to_context(cut)).is_zero
+
+
 def test_pb_relation_suite():
     rep = pb_relation_check(truncation=5)
     assert rep.passed
