@@ -56,9 +56,9 @@ MAX_LAW_DIGITS = 100
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _RESERVED = {"F", "inv", "t"}
-# a custom-law coefficient: an integer, p/q or a decimal; no exponent, which
-# would make Fraction build 10**exponent before any size check
-_RATIONAL = re.compile(r"\s*[+-]?(\d+(/\d+)?|\d*\.\d*)\s*\Z")
+# a custom-law coefficient is any Fraction text whose exponent has at most
+# three digits: Fraction builds 10**exponent before any size check
+_LONG_EXPONENT = re.compile(r"[eE][+-]?[\d_]{4}")
 
 
 class TaskError(Exception):
@@ -117,7 +117,7 @@ def _build_law(spec, truncation):
         for key, val in spec["coefficients"].items():
             try:
                 i, j = (int(part) for part in key.split(","))
-                if not _RATIONAL.match(str(val)):
+                if _LONG_EXPONENT.search(str(val)):
                     raise ValueError
                 c = Fraction(str(val))
             except (ValueError, ZeroDivisionError):

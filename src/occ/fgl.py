@@ -161,17 +161,11 @@ class FormalGroupLaw:
         """
         if order == self.truncation:
             return self
-        cached = self._templates.get(("law", order))
-        if cached is not None:
-            return cached
         if self.kind in (ADDITIVE, MULTIPLICATIVE):
-            law = make_law(self.kind, order, self.x, self.y)
-        elif self.kind == UNIVERSAL:
-            law = _universal_law(self.coefficient_names, order, self.x, self.y)
-        else:
-            raise CalculusError("cannot change the truncation of a custom law")
-        self._templates[("law", order)] = law
-        return law
+            return make_law(self.kind, order, self.x, self.y)
+        if self.kind == UNIVERSAL:
+            return _universal_law(self.coefficient_names, order, self.x, self.y)
+        raise CalculusError("cannot change the truncation of a custom law")
 
     # -- derived contexts ------------------------------------------------------
 

@@ -216,6 +216,9 @@ def test_run_missing_file(capsys):
         ({"law": {"coefficients": {"1,1": "1/1" + "0" * 100}}}, "more than 100 digits"),
         ({"law": {"coefficients": {"1,1": "-1" + "0" * 100}}}, "more than 100 digits"),
         ({"law": {"coefficients": {"1,1": "1e999999999"}}}, "bad law coefficient"),
+        ({"law": {"coefficients": {"1,1": "1e1_000"}}}, "bad law coefficient"),
+        ({"law": {"coefficients": {"1,1": "1e999"}}}, "more than 100 digits"),
+        ({"law": {"coefficients": {"1,1": "1e-101"}}}, "more than 100 digits"),
         ({"variables": [f"v{i}" for i in range(MAX_VARIABLES + 1)]}, "variables, more than"),
     ],
 )
@@ -349,6 +352,24 @@ def test_huge_k_n_series_and_grr_finish(tmp_path, capsys):
     assert code == 0
     assert "pushforward 100001, oracle 100001" in out
     assert "OK (3/3 passed)" in out
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [("1e3", "1000"), ("1E-05", "1/100000"), (0.00001, "1/100000"), (1e16, "10000000000000000"),
+     ("2.5e-3", "1/400"), ("1_000", "1000"), (" -0.25 ", "-1/4")],
+)
+def test_law_coefficient_forms(tmp_path, capsys, value, expected):
+    # every form Fraction reads, exponents included; JSON floats arrive as
+    # their Python text, which for 0.00001 and 1e16 has an exponent
+    task = {
+        "law": {"coefficients": {"1,0": "1", "0,1": "1", "1,1": value}},
+        "truncation": 3,
+        "actions": [{"op": "coefficient", "i": 1, "j": 1}],
+    }
+    code, out, _ = run_cli(capsys, ["run", write_task(tmp_path, task)])
+    assert code == 0
+    assert out == expected + "\n"
 
 
 def test_largest_numbers_allowed_print(tmp_path, capsys):
