@@ -1,8 +1,9 @@
 """Batch front end: task files, named check suites, one-shot computations.
 
-Exit status: 0 when every embedded check passes, 1 when a check fails or a
-computation raises a CalculusError, 2 when the input cannot be read (bad
-arguments, malformed task files, law specs, names, roots or expressions).
+Exit status: 0 when every embedded check passes, 1 when a check fails, a
+computation raises a CalculusError or its result is too long to print, 2
+when the input cannot be read (bad arguments, malformed task files, law
+specs, names, roots or expressions).
 `main` is the only place that maps exceptions to statuses.  `pbf` is a
 one-action task: it runs through the same `_run_task` as `run`.
 """
@@ -229,6 +230,19 @@ def _action_result(act, law, ctx, env, bundles, rings):
     return ring.pushforward(element)
 
 
+def _check_printable(series):
+    """Raise CalculusError when a coefficient has more digits than Python turns into text.
+
+    Numbers inside a computation are not bounded, and Chern classes of roots
+    with large denominators take their lcm; the limit is the interpreter's.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # none before 3.10.7
+    longest = max((max(abs(c.numerator), c.denominator) for c in series.terms.values()), default=0)
+    # 8**limit < 10**limit: a number of at most 3 * limit bits always prints
+    if limit and longest.bit_length() > 3 * limit and longest >= 10**limit:
+        raise CalculusError(f"a coefficient has more than {limit} digits to print")
+
+
 def _run_task(task):
     """Validate, build and execute a task: the one path from input to a computation.
 
@@ -254,7 +268,10 @@ def _run_task(task):
     results = []
     for idx, act in enumerate(actions, 1):
         try:
-            results.append(_action_result(act, law, ctx, env, bundles, rings))
+            result = _action_result(act, law, ctx, env, bundles, rings)
+            if not isinstance(result, Report):
+                _check_printable(result)
+            results.append(result)
         except CalculusError as exc:  # re-raised as is, so `main` still sees its class
             exc.args = (f"action {idx} ({act['op']}): {exc}",)
             raise

@@ -54,12 +54,13 @@ class FormalGroupLaw:
     built-in law, which `make_law` shares, shares them with every caller.
     """
 
-    def __init__(self, F: Series, kind="custom", x="x", y="y", graded=True):
+    def __init__(self, F: Series, kind="custom", x="x", y="y"):
         self.F = F
         self.kind = kind
         self.x = x
         self.y = y
-        self.graded = graded
+        # x + y - xy does not respect the grading; custom laws carry none
+        self.graded = kind in (ADDITIVE, UNIVERSAL)
         self.context = F.context
         self.coefficient_names = tuple(
             n for n in self.context.names if n not in (x, y)
@@ -251,11 +252,10 @@ def make_law(kind, truncation, x="x", y="y") -> FormalGroupLaw:
     ctx = Context([Var(x, 1, True), Var(y, 1, True)], truncation)
     xs, ys = ctx.var(x), ctx.var(y)
     if kind == ADDITIVE:
-        law = FormalGroupLaw(xs + ys, ADDITIVE, x, y, graded=True)
+        law = FormalGroupLaw(xs + ys, ADDITIVE, x, y)
         law._log = law._exp = xs
     else:
-        # x + y - xy does not respect the grading; the theory is ungraded
-        law = FormalGroupLaw(xs + ys - xs * ys, MULTIPLICATIVE, x, y, graded=False)
+        law = FormalGroupLaw(xs + ys - xs * ys, MULTIPLICATIVE, x, y)
         law._log = -log1p_of(-xs)
         law._exp = 1 - exp_of(-xs)
     _SHARED[key] = law
@@ -278,7 +278,7 @@ def _universal_law(gen_names, truncation, x, y) -> FormalGroupLaw:
         logx = logx + ctx.var(v.name) * xs ** (-v.degree + 1)
     exp = _revert(logx, x)
     F = exp.substitute({x: logx + logx.substitute({x: ctx.var(y)})})
-    law = FormalGroupLaw(F, UNIVERSAL, x, y, graded=True)
+    law = FormalGroupLaw(F, UNIVERSAL, x, y)
     law._log = logx
     law._exp = exp
     _SHARED[key] = law
@@ -307,4 +307,4 @@ def custom_law(F: Series, x="x", y="y") -> FormalGroupLaw:
     homogeneity item for them (a correct hand-entered multiplicative law
     would otherwise fail on its degree-2 term).
     """
-    return FormalGroupLaw(F, "custom", x, y, graded=False)
+    return FormalGroupLaw(F, "custom", x, y)

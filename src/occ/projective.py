@@ -243,14 +243,11 @@ def projection_formula_check(truncation: int = 6, cases: int = 20, seed: int = 0
     from .bundles import _random_root
 
     rng = random.Random(seed)
-    laws = {}
     items = []
     for case in range(cases):
         kind = ("additive", "multiplicative", "universal")[case % 3]
         r = rng.randint(1, 3)
-        law = laws.get((kind, r))
-        if law is None:
-            law = laws[kind, r] = make_law(kind, truncation + r - 1)
+        law = make_law(kind, truncation + r - 1)
         nvars = rng.randint(1, 2)
         names = [f"v{i}" for i in range(1, nvars + 1)]
         ctx = law.geometry_context(names)
@@ -284,43 +281,18 @@ def _random_element(rng, ctx, names, max_terms=4, max_pow=2):
 
 
 def pushforward_p1_formula(law, u: Series) -> Series:
-    """pi_!(1) on P(L + O) as -sum_{i,j>=1} b_ij e(L)^(i-1) e(L*)^(j-1).
+    """pi_!(1) on P(L + O) in closed form: -(F(x, y) - x - y)/(x y) at x = u, y = iota(u).
 
-    b_ij are the law coefficients; the sum needs them up to total order
-    N + 2 to be exact at truncation N, so the law is re-expanded that far.
+    That is -sum_{i,j>=1} b_ij e(L)^(i-1) e(L*)^(j-1) over the law
+    coefficients b_ij.  The sum needs them up to total order N + 2 to be
+    exact at truncation N, so the law is re-expanded that far.  Beyond the
+    series kernel it shares no code with the residue template, so it is an
+    independent oracle for it.
     """
-    ctx = u.context
-    N = ctx.truncation
-    law2 = law.at_truncation(N + 2)
-    iu = law.inverse_at(u)
-    pow_u = [ctx.one()]
-    pow_iu = [ctx.one()]
-    for _ in range(N + 1):
-        pow_u.append(pow_u[-1] * u)
-        pow_iu.append(pow_iu[-1] * iu)
-    ctx2 = law2.context
-    ix, iy = ctx2.index(law2.x), ctx2.index(law2.y)
-    trans = {}
-    for k, name in enumerate(ctx2.names):
-        if k not in (ix, iy):
-            trans[k] = ctx.index(name)
-    nvars = len(ctx.variables)
-    groups = {}
-    for m, c in law2.F.terms.items():
-        i, j = m[ix], m[iy]
-        if i < 1 or j < 1 or i - 1 > N or j - 1 > N:
-            continue
-        exps = [0] * nvars
-        for k, e in enumerate(m):
-            if e and k not in (ix, iy):
-                exps[trans[k]] = e
-        g = groups.setdefault((i, j), {})
-        key = tuple(exps)
-        g[key] = g.get(key, 0) + c
-    acc = ctx.zero()
-    for (i, j), g in sorted(groups.items()):
-        acc = acc + Series(ctx, g, _trusted=True) * pow_u[i - 1] * pow_iu[j - 1]
-    return -acc
+    law2 = law.at_truncation(u.context.truncation + 2)
+    x, y = law2.context.var(law2.x), law2.context.var(law2.y)
+    b = exact_divide(law2.F - x - y, x * y)
+    return -b.substitute({law2.x: u, law2.y: law.inverse_at(u)}, into=u.context)
 
 
 # -- towers ---------------------------------------------------------------------
@@ -411,7 +383,9 @@ def geometric_fgl_check(law, names=("u1", "u2")) -> Report:
     """Verify F(u1,u2) * (1 + u1 u2 ([P2]-[P3])) = u1 + u2 - u1 u2 [P1].
 
     P1 = P(L1+O) and P2 = P(L2 + L1 L2 + O); P3 = P(O(-1)+O) over
-    P(L2 + L1 L2), all classes computed by residue pushforwards of 1.
+    P(L2 + L1 L2).  [P1] and the fibre class of P3 are the law's one class
+    of P(L + O) (`class_of_proj_line`), [P2] and P3's base are residue
+    pushforwards of 1.
     The identity holds only with [P1] and the base of [P3] on
     complementary lines (pairing both with L1 breaks it at weight 4, first
     at the u1^3 u2 coefficient, universal law) and with P2 on the lines of
@@ -423,8 +397,7 @@ def geometric_fgl_check(law, names=("u1", "u2")) -> Report:
     F12 = law.apply(u1, u2)
     zero = ctx.zero()
 
-    ring1 = ProjBundleRing(SplitBundle(law, [u1, zero]), "s1")
-    p1 = ring1.pushforward(ring1.context.one())
+    p1 = class_of_proj_line(law, u1)
 
     ring2 = ProjBundleRing(SplitBundle(law, [u2, F12, zero]), "s1")
     p2 = ring2.pushforward(ring2.context.one())
@@ -438,8 +411,7 @@ def geometric_fgl_check(law, names=("u1", "u2")) -> Report:
     v1, v2 = ctx3.var(names[0]), ctx3.var(names[1])
     lower = ProjBundleRing(SplitBundle(law3, [v2, law3.apply(v1, v2)]), "s1")
     o_minus_1 = law3.inverse_at(lower.context.var("s1"))
-    upper = ProjBundleRing(SplitBundle(law3, [o_minus_1, lower.context.zero()]), "s2")
-    p3 = lower.pushforward(upper.pushforward(upper.context.one())).to_context(ctx)
+    p3 = lower.pushforward(class_of_proj_line(law3, o_minus_1)).to_context(ctx)
 
     lhs = F12 * (1 + u1 * u2 * (p2 - p3))
     rhs = u1 + u2 - u1 * u2 * p1

@@ -498,19 +498,22 @@ def first_difference(a, b):
 
 
 def invert_unit(a: Series) -> Series:
-    """Multiplicative inverse of a series whose constant term is a unit."""
+    """Multiplicative inverse of a series whose weight-0 part is a nonzero constant.
+
+    A weight-0 term in a non-nilpotent generator, as in 1 + m1, is never
+    truncated away, so such a series has no inverse in the truncated ring.
+    """
     ctx = a.context
     c0 = a.constant_term
-    if c0 == 0:
-        raise NotAUnit("not a unit")
     N = ctx.truncation
     zero = (0,) * len(ctx.variables)
-    inv0 = div_coeff(1, c0)
-    # higher-weight components of a, bucketed
+    # the components of a by weight; the weight-0 one must be c0 alone
     by_weight = {}
     for t in _by_weight(ctx, a.terms):
-        if t[0]:
-            by_weight.setdefault(t[0], []).append(t)
+        by_weight.setdefault(t[0], []).append(t)
+    if c0 == 0 or len(by_weight.pop(0, ())) != 1:
+        raise NotAUnit("not a unit")
+    inv0 = div_coeff(1, c0)
     q_by_weight = {0: [(0, zero, inv0)]}
     out = {zero: inv0}
     for k in range(1, N + 1):

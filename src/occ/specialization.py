@@ -37,7 +37,7 @@ from .series import (
 )
 from .fgl import ADDITIVE, MULTIPLICATIVE, FormalGroupLaw, make_law
 from .bundles import SplitBundle
-from .projective import ProjBundleRing, pushforward_p1_formula, tower_classes
+from .projective import ProjBundleRing, class_of_proj_line, pushforward_p1_formula, tower_classes
 from .reports import CheckItem, Report, difference_detail
 
 
@@ -298,13 +298,11 @@ def conner_floyd_check(truncation: int = 6, seed: int = 0) -> Report:
     sm_hi = SpecializationMap.to_multiplicative(law_hi)
     g_hi = law_hi.geometry_context(names)
     u_hi, u_m = g_hi.var("u1"), gm.var("u1")
-    ring_u = ProjBundleRing(SplitBundle(law_hi, [u_hi, g_hi.zero()]), "s")
-    ring_m = ProjBundleRing(SplitBundle(law_m, [u_m, gm.zero()]), "s")
     items.append(
         _cmp(
             "p1-pushforward",
-            specialize(sm_hi, ring_u.pushforward(ring_u.context.one()), into=gm),
-            ring_m.pushforward(ring_m.context.one()),
+            specialize(sm_hi, class_of_proj_line(law_hi, u_hi), into=gm),
+            class_of_proj_line(law_m, u_m),
         )
     )
     items.append(

@@ -5,6 +5,7 @@ check helpers it calls are themselves exercised piecemeal in the other test
 files.  Time budgets are asserted where a guarantee carries one.
 """
 
+import os
 import random
 import subprocess
 import sys
@@ -225,10 +226,13 @@ def test_13_projection_formula():
 def test_14_cli_reports_deterministic():
     # every named check suite prints byte-identical reports on two
     # consecutive runs
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
     def occ_check(suite):
         proc = subprocess.run(
             [sys.executable, "-m", "occ.cli", "check", suite],
             capture_output=True,
+            env=dict(os.environ, PYTHONPATH=src),
         )
         assert proc.returncode == 0, proc.stderr.decode()
         return proc.stdout

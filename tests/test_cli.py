@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -388,6 +389,27 @@ def test_largest_numbers_allowed_print(tmp_path, capsys):
         top = {t["monomial"]["x"]: Fraction(t["coeff"]) for t in nseries}[10]
         assert top == Fraction(comb(n, 10) if n > 0 else comb(-n + 9, 10), 1) * c**9
         assert Fraction(inverse[-1]["coeff"]) == -((-c) ** 9)
+
+
+def test_chern_classes_too_long_to_print_fail_their_action(tmp_path, capsys):
+    # every root number has 300 digits, but the Chern classes of four roots
+    # u/q1 + ... + u^7/q7 over 28 different q take their lcm: above Python's
+    # limit for turning an int into text
+    rng = random.Random(12)
+    qs = [rng.randrange(10**299, 10**300) for _ in range(28)]
+    roots = [" + ".join(f"u^{k}/{qs[7 * r + k - 1]}" for k in range(1, 8)) for r in range(4)]
+    for op, extra in (("chern", {"k": 4}), ("euler", {}), ("total-chern", {})):
+        for output in ("text", "json"):
+            task = {"law": "additive", "truncation": 10, "variables": ["u"], "output": output,
+                    "bundles": {"E": roots},
+                    "actions": [{"op": "chern", "bundle": "E", "k": 1},
+                                {"op": op, "bundle": "E", **extra}]}
+            code, out, err = run_cli(capsys, ["run", write_task(tmp_path, task)])
+            assert (code, out) == (1, "")
+            assert err.startswith(f"error: action 2 ({op}): ") and err.count("\n") == 1
+    # the pushforward of t^4 on the same bundle prints
+    task["actions"] = [{"op": "pushforward", "bundle": "E", "element": "t^4"}]
+    assert run_cli(capsys, ["run", write_task(tmp_path, task)])[0] == 0
 
 
 def test_fglcheck_additive(capsys):

@@ -245,15 +245,20 @@ def test_rank_one_pushforward_is_evaluation():
 
 
 def test_p1_pushforward_formula_agreement():
-    # direct residue pushforward of 1 on P(L+O) vs the coefficient formula
-    for kind, trunc in (("additive", 6), ("multiplicative", 6), ("universal", 4)):
-        law = make_law(kind, trunc)
-        ctx = law.geometry_context(["u"])
-        u = ctx.var("u")
-        ring = ProjBundleRing(SplitBundle(law, [u, ctx.zero()]), "s")
-        direct = ring.pushforward(ring.context.one())
-        formula = pushforward_p1_formula(law, u)
-        assert (direct - formula).is_zero, kind
+    # a fresh residue pushforward of 1 on P(L+O) vs the closed form
+    # -(F(x, y) - x - y)/(xy) at x = e(L), y = e(L*), for several lines L
+    for kind, top in (("additive", 7), ("multiplicative", 7), ("universal", 6)):
+        for N in range(1, top + 1):
+            law = make_law(kind, N)
+            ctx = law.geometry_context(["u", "v"])
+            u, v = ctx.var("u"), ctx.var("v")
+            iu, iv = law.inverse_at(u), law.inverse_at(v)
+            for name, line in (("u", u), ("0", ctx.zero()), ("inv(u)", iu),
+                               ("F(u,v)", law.apply(u, v)), ("F(u,inv(v))", law.apply(u, iv))):
+                ring = ProjBundleRing(SplitBundle(law, [line, ctx.zero()]), "s")
+                direct = ring.pushforward(ring.context.one())
+                formula = pushforward_p1_formula(law, line)
+                assert (direct - formula).is_zero, (kind, N, name)
 
 
 def test_p1_class_closed_forms():

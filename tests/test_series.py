@@ -120,6 +120,17 @@ def test_invert_unit():
     assert ((c.const(2) + x * 3) * w - 1).is_zero
     with pytest.raises(NotAUnit, match="not a unit"):
         invert_unit(x)
+    # a non-nilpotent generator m has weight 0: 1 + m*x is a unit, but
+    # 1 + m is not, and neither is m + m*x
+    cm = Context((Var("x", 1, True), Var("m", -1, False)), 5)
+    x, m = cm.var("x"), cm.var("m")
+    assert (invert_unit(1 + m * x) * (1 + m * x) - 1).is_zero
+    for bad in (1 + m, m + m * x, 2 - m * m + x):
+        with pytest.raises(NotAUnit, match="not a unit"):
+            invert_unit(bad)
+    law = make_law("universal", 5)
+    with pytest.raises(NotAUnit, match="not a unit"):
+        invert_unit(law.context.one() + law.context.var("m1"))
 
 
 def test_exact_divide_and_failure():
