@@ -436,6 +436,14 @@ def _int_in(low, high):
     return integer
 
 
+def _digits_int(text):
+    """An argparse type for integers of at most MAX_DIGITS digits; anything else exits 2."""
+    value = int(text)
+    if abs(value) >= 10**MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"must have at most {MAX_DIGITS} digits")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     trunc = _int_in(1, MAX_TRUNCATION)
     trunc_help = f"truncation order 1..{MAX_TRUNCATION} (default 6)"
@@ -458,13 +466,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grr", help="Riemann-Roch check on P^(r-1) for O(k)")
     p.add_argument("r", type=_int_in(2, MAX_RANK), help=f"rank 2..{MAX_RANK}")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=_digits_int, help=f"at most {MAX_DIGITS} digits")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_grr)
 
     p = sub.add_parser("chi", help="K-theory Euler characteristic vs the binomial oracle")
     p.add_argument("r", type=_int_in(1, MAX_RANK), help=f"rank 1..{MAX_RANK}")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=_digits_int, help=f"at most {MAX_DIGITS} digits")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_chi)
 

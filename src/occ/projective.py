@@ -77,6 +77,7 @@ def pushforward_template(law, N, r, k) -> Series:
         tmpl = Context(evars + gens, N)
         x, y = ctx.var(hi.x), ctx.var(hi.y)
         log_u = log1p_of(exact_divide(hi.apply(x, hi.inverse_at(y)), x - y).to_context(lw) - 1)
+        ls = log_u.split(hi.y, work, M + 1)
         e = [work.one()] + [work.var(v.name) for v in evars]
         power_sums = [None]
         exponent = work.zero()
@@ -86,13 +87,13 @@ def pushforward_template(law, N, r, k) -> Series:
             for i in range(1, min(b - 1, r) + 1):
                 p_b = p_b + e[i] * power_sums[b - i] * (-1) ** (i - 1)
             power_sums.append(p_b)
-            exponent = exponent + log_u.partial_coefficient({hi.y: b}).to_context(work) * p_b
+            exponent = exponent + ls[b] * p_b
         A = hi.invariant_differential().to_context(work) * exp_of(-exponent)
         # Res_t t^j / prod_i (t - tau_i) = h_{j-r+1} follows the relation's recursion
         et = [tmpl.one()] + [tmpl.var(v.name) for v in evars]
         hs = [tmpl.zero()] * (r - 1) + [tmpl.one()]
         _extend_by_relation([et[r - i] * (-1) ** i for i in range(r + 1)], hs, M)
-        coeffs = [A.partial_coefficient({hi.x: d}).to_context(tmpl) for d in range(M + 1)]
+        coeffs = A.split(hi.x, tmpl, M + 1)
         hi._templates[key] = [
             sum((c * hs[d + j] for d, c in enumerate(coeffs) if d + j <= M), tmpl.zero())
             for j in range(r)
@@ -363,7 +364,7 @@ def tower_classes(law, depth) -> list:
         out = [ctx.one()]
         if depth:
             G = _line_class(law.at_truncation(max(law.truncation, depth - 1)))
-            g = [G.partial_coefficient({"u": i}).to_context(ctx) for i in range(depth)]
+            g = G.split("u", ctx, depth)
             for n in range(depth):
                 out.append(sum((g[i] * out[n - i] for i in range(n + 1)), ctx.zero()))
         law._templates[key] = out

@@ -218,6 +218,34 @@ def _by_weight(ctx, terms):
     return sorted(((sum(map(mul, m, degs)), m, c) for m, c in terms.items()), key=itemgetter(0))
 
 
+def _slots(ctx, target, skip, monomials):
+    """The slot in `ctx` of each variable of `target`, -1 where it has none.
+
+    `m + (0,)` read at these slots moves a monomial m of `ctx` into
+    `target`, leaving out the slots in `skip`.  A variable that occurs in
+    `monomials` but is missing from `target`, or differs there, raises
+    `ContextMismatch`.
+    """
+    order = [-1] * len(target.variables)
+    for j, v in enumerate(ctx.variables):
+        if j in skip:
+            continue
+        k = target._index.get(v.name)
+        if k is not None and target.variables[k][1:] == v[1:]:
+            order[k] = j
+        elif any(m[j] for m in monomials):
+            where = "not in" if k is None else "differs in"
+            raise ContextMismatch(f"incompatible contexts: variable {v.name!r} {where} target")
+    return order
+
+
+def _product(ctx, a, b):
+    """The product of two weight-sorted term lists, as a weight-sorted term list."""
+    out = {}
+    _mac(out, a, b, ctx.truncation)
+    return _by_weight(ctx, _clean(out))
+
+
 def _term_key(ctx, exps):
     # canonical order: ascending weight, then descending lex in variable order
     return (ctx.weight(exps), tuple(-e for e in exps))
@@ -264,6 +292,30 @@ class Series:
                 stripped = tuple(0 if i in idx else e for i, e in enumerate(m))
                 out[stripped] = c
         return Series(ctx, out, _trusted=True)
+
+    def split(self, name, into, count=None):
+        """[c_0, c_1, ...] with self = sum_k c_k name^k, each c_k in `into`.
+
+        The list is `[self.partial_coefficient({name: k}).to_context(into)
+        for k in range(count)]`, built in one sweep over the terms instead of
+        one per power: terms above the truncation of `into` are dropped, and a
+        variable that occurs in some c_k but is missing from `into`, or
+        differs there, raises `ContextMismatch`.  `count` defaults to one
+        more than the highest power of `name` present.
+        """
+        ctx = self.context
+        i = ctx.index(name)
+        if count is None:
+            count = 1 + max((m[i] for m in self.terms), default=-1)
+        kept = [m for m in self.terms if m[i] < count]
+        order = _slots(ctx, into, {i}, kept)
+        N, weight = into.truncation, into.weight
+        parts = [{} for _ in range(count)]
+        for m in kept:
+            base = tuple(map((m + (0,)).__getitem__, order))
+            if weight(base) <= N:
+                parts[m[i]][base] = self.terms[m]
+        return [Series(into, p, _trusted=True) for p in parts]
 
     def min_weight(self):
         if not self.terms:
@@ -389,43 +441,37 @@ class Series:
             images[i] = img
         if not self.terms:
             return target.zero()
-        # identity translation for unmapped variables that actually occur
-        used = set()
-        for m in self.terms:
-            for i, e in enumerate(m):
-                if e and i not in images:
-                    used.add(i)
-        ident = {}
-        for i in sorted(used):
-            v = ctx.variables[i]
-            if v.name not in target._index:
-                raise ContextMismatch(f"incompatible contexts: variable {v.name!r} not in target")
-            j = target.index(v.name)
-            if target.variables[j][1:] != v[1:]:
-                raise ContextMismatch(f"incompatible contexts: variable {v.name!r} differs in target")
-            ident[i] = j
+        order = _slots(ctx, target, images, self.terms)
         mapped_idx = sorted(images)
         nt = len(target.variables)
         N = target.truncation
         weight = target.weight
-        pow_cache = {i: [target.one()] for i in mapped_idx}
-        prof_cache = {}
+        one = [(0, (0,) * nt, 1)]
+        # powers of each image, and the product of image powers of each
+        # profile (exponents of the first mapped variables), as weight-sorted
+        # term lists: a profile's product is the power of its last variable
+        # times the product of its prefix, one product per profile
+        powers = [[one, _by_weight(target, images[i].terms)] for i in mapped_idx]
+        products = {(): one}
         out = {}
         for m, c in self.terms.items():
             prof = tuple(m[i] for i in mapped_idx)
-            P = prof_cache.get(prof)
+            P = products.get(prof)
             if P is None:
-                P = target.one()
-                for i, e in zip(mapped_idx, prof):
-                    cache = pow_cache[i]
-                    while len(cache) <= e:
-                        cache.append(cache[-1] * images[i])
-                    P = P * cache[e]
-                P = prof_cache[prof] = _by_weight(target, P.terms)
-            base = [0] * nt
-            for i, j in ident.items():
-                base[j] = m[i]
-            base = tuple(base)
+                n = len(prof) - 1
+                while prof[:n] not in products:
+                    n -= 1
+                P = products[prof[:n]]
+                for k in range(n, len(prof)):
+                    e, pw = prof[k], powers[k]
+                    while len(pw) <= e:
+                        pw.append(_product(target, pw[-1], pw[1]))
+                    if P is one:
+                        P = pw[e]
+                    elif e:
+                        P = _product(target, P, pw[e])
+                    products[prof[: k + 1]] = P
+            base = tuple(map((m + (0,)).__getitem__, order))
             _mac(out, [(weight(base), base, c)], P, N)
         return Series(target, _clean(out), _trusted=True)
 
@@ -497,36 +543,53 @@ def first_difference(a, b):
 # -- units and exact division ------------------------------------------------
 
 
+def _components(ctx, terms):
+    """{weight: [(weight, monomial, coefficient), ...]} for a term dict."""
+    out = {}
+    for t in _by_weight(ctx, terms):
+        out.setdefault(t[0], []).append(t)
+    return out
+
+
+def _solve_by_weight(ctx, f, y0, finish):
+    """The terms of y, solved weight by weight from the constant term `y0`.
+
+    y_w = finish(w, sum_{j>=1} f_j y_(w-j)) for w = 1..N, where `f` maps a
+    weight j >= 1 to the terms of f_j as `_components` lists them and
+    `finish` turns the accumulated term dict into the terms of y_w.  Each
+    weight is one convolution of f with the known part of y, through `_mac`,
+    so the whole solve costs about one product.  A weight-0 generator (an
+    m_i) rides along in the monomials and never shifts a weight.
+    """
+    ys = {0: [(0, (0,) * len(ctx.variables), y0)]} if y0 else {}
+    for w in range(1, ctx.truncation + 1):
+        comp = {}
+        for j, fj in f.items():
+            yj = ys.get(w - j)
+            if yj:
+                _mac(comp, fj, yj, w)
+        yw = finish(w, comp)
+        if yw:
+            ys[w] = [(w, m, c) for m, c in yw.items()]
+    return {m: c for items in ys.values() for _, m, c in items}
+
+
 def invert_unit(a: Series) -> Series:
     """Multiplicative inverse of a series whose weight-0 part is a nonzero constant.
 
     A weight-0 term in a non-nilpotent generator, as in 1 + m1, is never
     truncated away, so such a series has no inverse in the truncated ring.
+    With q = 1/a and c0 the constant term, q_w = -(1/c0) sum_{j>=1} a_j q_(w-j).
     """
     ctx = a.context
     c0 = a.constant_term
-    N = ctx.truncation
-    zero = (0,) * len(ctx.variables)
     # the components of a by weight; the weight-0 one must be c0 alone
-    by_weight = {}
-    for t in _by_weight(ctx, a.terms):
-        by_weight.setdefault(t[0], []).append(t)
+    by_weight = _components(ctx, a.terms)
     if c0 == 0 or len(by_weight.pop(0, ())) != 1:
         raise NotAUnit("not a unit")
     inv0 = div_coeff(1, c0)
-    q_by_weight = {0: [(0, zero, inv0)]}
-    out = {zero: inv0}
-    for k in range(1, N + 1):
-        comp = {}
-        for v, items in by_weight.items():
-            qprev = q_by_weight.get(k - v)
-            if qprev:
-                _mac(comp, items, qprev, k)
-        qk = _clean({m: -inv0 * c for m, c in comp.items()})
-        if qk:
-            q_by_weight[k] = [(k, m, c) for m, c in qk.items()]
-            out.update(qk)
-    return Series(ctx, out, _trusted=True)
+    f = {j: [(j, m, -inv0 * c) for _, m, c in items] for j, items in by_weight.items()}
+    return Series(ctx, _solve_by_weight(ctx, f, inv0, lambda w, comp: _clean(comp)), _trusted=True)
 
 
 def _divide_homogeneous(ctx, num, den):
@@ -701,7 +764,9 @@ def compose_coeffs(coeff_fn, s: Series, start=0) -> Series:
     """Sum coeff_fn(k) * s**k for k >= start, until powers of s vanish.
 
     `s` must be nilpotent (every term of weight at least 1), so that s**k
-    vanishes for k above the truncation order and the sum is finite.
+    vanishes for k above the truncation order and the sum is finite.  Each
+    power is a full product; `exp_of` and `log1p_of` solve weight by weight
+    instead, and the callers left are `todd_factor` and `todd_prime_at_dual`.
     """
     if s.terms and s.min_weight() == 0:
         raise SubstitutionError("non-nilpotent substitution")
@@ -720,13 +785,43 @@ def compose_coeffs(coeff_fn, s: Series, start=0) -> Series:
     return out
 
 
-def exp_of(s: Series) -> Series:
-    """exp(s) for a nilpotent series s."""
-    from math import factorial
+def _nilpotent_components(s: Series):
+    """`_components` of s, which must have no term of weight 0."""
+    by_weight = _components(s.context, s.terms)
+    if 0 in by_weight:
+        raise SubstitutionError("non-nilpotent substitution")
+    return by_weight
 
-    return compose_coeffs(lambda k: Fraction(1, factorial(k)), s)
+
+def exp_of(s: Series) -> Series:
+    """exp(s) for a nilpotent series s.
+
+    With D the weight derivation (D m = weight(m) m), D exp(s) = exp(s) D(s),
+    so A = exp(s) has A_0 = 1 and w A_w = sum_{j>=1} j s_j A_(w-j).
+    """
+    ctx = s.context
+    ds = {j: [(j, m, j * c) for _, m, c in items] for j, items in _nilpotent_components(s).items()}
+    y = _solve_by_weight(
+        ctx, ds, 1, lambda w, comp: {m: div_coeff(c, w) for m, c in comp.items() if c}
+    )
+    return Series(ctx, y, _trusted=True)
 
 
 def log1p_of(s: Series) -> Series:
-    """log(1 + s) for a nilpotent series s."""
-    return compose_coeffs(lambda k: Fraction((-1) ** (k - 1), k), s, start=1)
+    """log(1 + s) for a nilpotent series s.
+
+    D L = D(s) / (1 + s) for L = log(1 + s), so y = D L solves
+    y_w = w s_w - sum_{j<w} s_j y_(w-j), and L_w = y_w / w.
+    """
+    ctx = s.context
+    by_weight = _nilpotent_components(s)
+    neg = {j: [(j, m, -c) for _, m, c in items] for j, items in by_weight.items()}
+
+    def finish(w, comp):
+        for _, m, c in by_weight.get(w, ()):
+            comp[m] = comp.get(m, 0) + w * c
+        return _clean(comp)
+
+    y = _solve_by_weight(ctx, neg, 0, finish)
+    weight = ctx.weight
+    return Series(ctx, {m: div_coeff(c, weight(m)) for m, c in y.items()}, _trusted=True)

@@ -302,6 +302,18 @@ def test_out_of_range_arguments_are_usage_errors(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("cmd", ["chi", "grr"])
+def test_k_of_chi_and_grr_has_at_most_300_digits(cmd, capsys):
+    # a 2000-digit k makes a result too long for Python to print, so it is
+    # refused before any work; 300 digits still run
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "4", "7" * 2000])
+    assert exc.value.code == 2
+    assert "argument k: must have at most 300 digits" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, [cmd, "4", "-" + "9" * 300])
+    assert code == 0 and "PASS" in out
+
+
 def test_unknown_suite_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "everything"])

@@ -1,0 +1,61 @@
+"""Byte-identity guard for the cold pushforward template and the tower classes.
+
+The SHA-256 digests of the printed results were recorded before the template
+path was rewritten (graded exp/log, one-pass split, one product per
+substitution profile); every rewrite of that path must reproduce them.
+"""
+
+import hashlib
+
+import pytest
+
+from occ.fgl import make_law
+from occ.projective import pushforward_template, tower_classes
+
+
+def digest(series_list):
+    return hashlib.sha256("\n".join(map(str, series_list)).encode()).hexdigest()
+
+
+# (law, r, N) -> digest of pi_!(t^k), k = 0..r-1, one per line
+TEMPLATES = {
+    ("additive", 2, 4): "1e9987e996a1c529f61f4339797481b7b1138b15f18a44e06dde45eabbc67921",
+    ("additive", 2, 5): "1e9987e996a1c529f61f4339797481b7b1138b15f18a44e06dde45eabbc67921",
+    ("additive", 2, 6): "1e9987e996a1c529f61f4339797481b7b1138b15f18a44e06dde45eabbc67921",
+    ("additive", 3, 4): "e5915907865758ed7d95b0534354c9d58e3c4b658943780ee97737e1a7fe28df",
+    ("additive", 3, 5): "e5915907865758ed7d95b0534354c9d58e3c4b658943780ee97737e1a7fe28df",
+    ("additive", 3, 6): "e5915907865758ed7d95b0534354c9d58e3c4b658943780ee97737e1a7fe28df",
+    ("additive", 4, 4): "276c9e0dfc5fc33bbfcabd7f28494b2c6b0c9f991e2ab6d82e281514dd02be8b",
+    ("additive", 4, 5): "276c9e0dfc5fc33bbfcabd7f28494b2c6b0c9f991e2ab6d82e281514dd02be8b",
+    ("additive", 4, 6): "276c9e0dfc5fc33bbfcabd7f28494b2c6b0c9f991e2ab6d82e281514dd02be8b",
+    ("multiplicative", 2, 4): "c553228271d4cf65305957e97cd75da60964776a9e615c702bd6a4c077d266c0",
+    ("multiplicative", 2, 5): "c553228271d4cf65305957e97cd75da60964776a9e615c702bd6a4c077d266c0",
+    ("multiplicative", 2, 6): "c553228271d4cf65305957e97cd75da60964776a9e615c702bd6a4c077d266c0",
+    ("multiplicative", 3, 4): "3a146bbd8507fe79a1c260aba824775ccf6c0841a9234338ad8e92d0bc009394",
+    ("multiplicative", 3, 5): "3a146bbd8507fe79a1c260aba824775ccf6c0841a9234338ad8e92d0bc009394",
+    ("multiplicative", 3, 6): "3a146bbd8507fe79a1c260aba824775ccf6c0841a9234338ad8e92d0bc009394",
+    ("multiplicative", 4, 4): "149051825acc9f70977387777097d077b40b4c368bcf075fd8e098058451694c",
+    ("multiplicative", 4, 5): "149051825acc9f70977387777097d077b40b4c368bcf075fd8e098058451694c",
+    ("multiplicative", 4, 6): "149051825acc9f70977387777097d077b40b4c368bcf075fd8e098058451694c",
+    ("universal", 2, 4): "57444024ddeea9df129c0768efeb7066a1deb47236c453b667ed63dcdc1eda59",
+    ("universal", 2, 5): "44347fcec06af8545bda347038f3635c26ade662b7979f9bf69b44e844acd24c",
+    ("universal", 2, 6): "4602522855ddffe654473de1087e8201674d09e9386dbcaf4e98f17d9580d44f",
+    ("universal", 3, 4): "6ee74bac3c4b6190709542b321d019719845bc53e5d068c9a2e183fd41ec082e",
+    ("universal", 3, 5): "305e49d8f9c26dd20952e41c4f57eeeadaca91074e7e3e579e7525439c071fcb",
+    ("universal", 3, 6): "2165fb7b4ae46df854d14fd26ff0a256d68c183351cf1b10d3a661d606f3f002",
+    ("universal", 4, 4): "f9fea7c9e393685da0f91a16ad0e73e5b7f4e385f3bd1304057059ce2c4840a0",
+    ("universal", 4, 5): "3397174d02e2999d301a4d02abb7f561972b497207320bed589585cffd949ae1",
+    ("universal", 4, 6): "593e2fd4e1a633a6a1db5ee8bcdb1d602d1e1fddf3eb1a923bd38503b61324ed",
+}
+
+
+@pytest.mark.parametrize("kind, r, N", sorted(TEMPLATES))
+def test_pushforward_template_digest(kind, r, N):
+    law = make_law(kind, N)
+    got = digest(pushforward_template(law, N, r, k) for k in range(r))
+    assert got == TEMPLATES[kind, r, N]
+
+
+def test_universal_tower_classes_digest():
+    classes = tower_classes(make_law("universal", 6), 7)
+    assert digest(classes) == "e346a0f79b3691862d157fc97e53609e1abf16c185de199290ec5b1d8c29081e"

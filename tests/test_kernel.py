@@ -5,7 +5,9 @@ denominator other than 1 otherwise; it is never a float or a bool.
 """
 
 from fractions import Fraction
+from math import factorial
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from occ.bundles import SplitBundle
@@ -13,11 +15,14 @@ from occ.fgl import make_law
 from occ.projective import ProjBundleRing, tower_classes
 from occ.series import (
     Context,
+    ContextMismatch,
     Series,
     Var,
+    compose_coeffs,
     exact_divide,
     exp_of,
     invert_unit,
+    log1p_of,
 )
 from occ.specialization import SpecializationMap, line_class, specialize
 
@@ -150,3 +155,107 @@ def test_substitute_is_a_ring_homomorphism(data):
     assert phi(a + b) == phi(a) + phi(b)
     assert phi(ctx.one()) == 1
     assert_coefficients_canonical([phi(a), phi(a * b)])
+
+
+# -- exp, log and inverse weight by weight ----------------------------------------------
+
+
+def exp_by_powers(s):
+    """exp(s) as sum_k s^k / k!, one full product per power: the oracle."""
+    return compose_coeffs(lambda k: Fraction(1, factorial(k)), s)
+
+
+def log1p_by_powers(s):
+    """log(1 + s) as sum_k (-1)^(k-1) s^k / k, one full product per power: the oracle."""
+    return compose_coeffs(lambda k: Fraction((-1) ** (k - 1), k), s, start=1)
+
+
+@PROPERTY
+@given(st.data())
+def test_exp_is_a_homomorphism(data):
+    ctx = data.draw(contexts())
+    a, b = (series_in(data.draw, ctx, min_weight=1) for _ in range(2))
+    assert exp_of(a + b) == exp_of(a) * exp_of(b)
+
+
+@PROPERTY
+@given(st.data())
+def test_exp_and_log1p_are_inverse(data):
+    ctx = data.draw(contexts())
+    s = series_in(data.draw, ctx, min_weight=1)
+    assert log1p_of(exp_of(s) - 1) == s
+    assert exp_of(log1p_of(s)) == 1 + s
+
+
+@PROPERTY
+@given(st.data())
+def test_exp_and_log1p_equal_the_power_sums(data):
+    ctx = data.draw(contexts())
+    s = series_in(data.draw, ctx, min_weight=1)
+    for fast, oracle in ((exp_of, exp_by_powers), (log1p_of, log1p_by_powers)):
+        got, want = fast(s), oracle(s)
+        assert got.terms == want.terms
+        assert_coefficients_canonical([got, want])
+
+
+# -- splitting by the powers of one variable, and substitution ------------------------------
+
+
+@PROPERTY
+@given(st.data())
+def test_split_equals_partial_coefficients(data):
+    ctx = data.draw(contexts())
+    p = series_in(data.draw, ctx)
+    name = data.draw(st.sampled_from(ctx.names))
+    # the target: some of the other variables in any order, one maybe with
+    # another degree, a new variable, and any truncation
+    others = [v for v in ctx.variables if v.name != name]
+    kept = data.draw(st.permutations(others))[: data.draw(st.integers(0, len(others)))]
+    if kept and data.draw(st.booleans()):
+        kept[0] = Var(kept[0].name, 3, True)
+    into = Context(kept + [Var("z", 1, True)], data.draw(st.integers(1, 4)))
+    count = data.draw(st.one_of(st.none(), st.integers(0, 3)))
+    n = count if count is not None else 1 + max((m[ctx.index(name)] for m in p.terms), default=-1)
+    try:
+        want = [p.partial_coefficient({name: k}).to_context(into) for k in range(n)]
+    except ContextMismatch:
+        with pytest.raises(ContextMismatch, match="incompatible contexts"):
+            p.split(name, into, count)
+        return
+    got = p.split(name, into, count)
+    assert [g.context for g in got] == [into] * n
+    assert [g.terms for g in got] == [w.terms for w in want]
+
+
+def test_split_drops_terms_above_the_target_truncation():
+    ctx = Context([Var("x", 1, True), Var("y", 2, True)], 6)
+    x, y = ctx.var("x"), ctx.var("y")
+    into = Context([Var("y", 2, True)], 2)
+    parts = (x * y + x**2 * y**2 + y + 3).split("x", into)
+    assert [str(c) for c in parts] == ["3 + y", "y", "0"]
+    with pytest.raises(ContextMismatch, match="'x' not in target"):
+        (x * y).split("y", into)
+
+
+@st.composite
+def wide_contexts(draw):
+    """4 nilpotent variables of weight 1-2 and one weight-0 generator, truncation 2-5."""
+    vs = [Var(f"x{i}", draw(st.integers(1, 2)), True) for i in range(4)]
+    return Context(vs + [Var("m", -1, False)], draw(st.integers(2, 5)))
+
+
+@PROPERTY
+@given(st.data())
+def test_substitute_equals_the_product_of_powers(data):
+    ctx = data.draw(wide_contexts())
+    mapped = data.draw(st.sampled_from([ctx.names[:3], ctx.names[1:4], ctx.names[:4]]))
+    mapping = {n: series_in(data.draw, ctx, min_weight=ctx.variables[ctx.index(n)].degree)
+               for n in mapped}
+    p = series_in(data.draw, ctx)
+    want = ctx.zero()
+    for m, c in p.terms.items():
+        term = ctx.const(c)
+        for name, e in zip(ctx.names, m):
+            term = term * (mapping[name] if name in mapping else ctx.var(name)) ** e
+        want = want + term
+    assert p.substitute(mapping, into=ctx) == want
