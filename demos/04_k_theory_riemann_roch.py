@@ -12,10 +12,10 @@ from occ import (
     grr_check,
     k_chi_oracle,
     k_euler_characteristic,
-    line_class,
     make_law,
     todd_factor,
     todd_prime_at_dual,
+    twist_class,
     twisted_c1,
 )
 
@@ -28,8 +28,8 @@ for r in (2, 3, 4):
 print("\n== K-classes of line bundles ==")
 law_m = make_law("multiplicative", 6)
 u = law_m.geometry_context(["u"]).var("u")
-print("[L]      =", line_class(law_m, u))
-print("[L]*(1-u) - 1 =", line_class(law_m, u).series * (1 - u) - 1)
+print("[L]      =", twist_class(law_m, u, 1))
+print("[L]*(1-u) - 1 =", twist_class(law_m, u, 1) * (1 - u) - 1)
 
 print("\n== Riemann-Roch on P^1 and P^2 ==")
 for r in (2, 3):

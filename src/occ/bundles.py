@@ -50,8 +50,6 @@ class SplitBundle:
         """The k-th Chern class e_k(roots); zero above the rank."""
         if k < 0:
             raise CalculusError("Chern index must be non-negative")
-        if k > self.rank:
-            return self.context.zero()
         return elementary_symmetric(self.roots, k, one=self.context.one())
 
     def total_chern(self) -> Series:

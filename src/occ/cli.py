@@ -26,14 +26,10 @@ from .projective import (
     pb_relation_check,
     tower_classes,
 )
+from .oracles import k_chi_oracle
 from .reports import CheckItem, Report, merge_reports
 from .series import CalculusError, Context, Var
-from .specialization import (
-    conner_floyd_check,
-    grr_check,
-    k_chi_oracle,
-    k_euler_characteristic,
-)
+from .specialization import conner_floyd_check, grr_check, k_euler_characteristic
 
 EXIT_OK = 0
 EXIT_FAIL = 1

@@ -176,7 +176,7 @@ class FormalGroupLaw:
             v for v in self.context.variables if v.name in self.coefficient_names
         )
         vs = tuple(Var(n, 1, True) for n in class_names) + gens
-        return Context(vs, truncation or self.truncation)
+        return Context(vs, self.truncation if truncation is None else truncation)
 
     # -- axiom checks -----------------------------------------------------------
 

@@ -1,0 +1,88 @@
+"""Independent oracles for the pushforward and the Euler characteristic.
+
+Each function here computes by a route of its own what the library
+computes by the residue template of `occ.projective`:
+
+* `k_chi_oracle`: chi(P^(r-1), O(k)) as the binomial polynomial in k;
+* `pushforward_p1_formula`: [P(L + O)] in closed form from the law's
+  coefficients;
+* `log_coordinate_pushforward`: pi_!(t^k) on any split P(E) by
+  Riemann-Roch in the logarithmic coordinate (Quillen, 1971), with the
+  complete symmetric functions `h_polys`.
+
+This module imports only the series kernel, the laws and the standard
+library, so it never reaches the projective-bundle rings or their
+templates; `tests/test_oracles.py` checks that by reading the imports.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import factorial
+
+from .series import CalculusError, Series, exact_divide, invert_unit
+
+
+def k_chi_oracle(r: int, k: int) -> Fraction:
+    """chi(P^(r-1), O(k)) = binomial(k+r-1, r-1), as a polynomial in k.
+
+    Valid for negative k as well (the polynomial extension of the binomial).
+    """
+    if r < 1:
+        raise CalculusError("r must be >= 1")
+    num = 1
+    for j in range(1, r):
+        num *= k + j
+    return Fraction(num, factorial(r - 1))
+
+
+def pushforward_p1_formula(law, u: Series) -> Series:
+    """pi_!(1) on P(L + O) in closed form: -(F(x, y) - x - y)/(x y) at x = u, y = iota(u).
+
+    That is -sum_{i,j>=1} b_ij e(L)^(i-1) e(L*)^(j-1) over the law
+    coefficients b_ij.  The sum needs them up to total order N + 2 to be
+    exact at truncation N, so the law is re-expanded that far.
+    """
+    law2 = law.at_truncation(u.context.truncation + 2)
+    x, y = law2.context.var(law2.x), law2.context.var(law2.y)
+    b = exact_divide(law2.F - x - y, x * y)
+    return -b.substitute({law2.x: u, law2.y: law.inverse_at(u)}, into=u.context)
+
+
+def h_polys(values, n, ctx):
+    """Complete homogeneous symmetric functions h_0..h_n of the given values."""
+    h = [ctx.one()] + [ctx.zero()] * n
+    for y in values:
+        for m in range(1, n + 1):
+            h[m] = h[m] + y * h[m - 1]
+    return h
+
+
+def log_coordinate_pushforward(law, roots, k, ctx):
+    """pi_!(t^k) on P(roots) over ctx, by Riemann-Roch in the logarithmic coordinate.
+
+    With s = l(t), sigma_j = -l(x_j) and Td(y) = y / exp(y):
+    pi_!(t^k) = sum_d [s^d](exp(s)^k prod_j Td(s - sigma_j)) h_{d-r+1}(sigma).
+    `ctx` is a geometry context of `law`; each root is a function of the
+    law and the class variables of `ctx`, in order, so that it can be
+    rebuilt with the law raised four orders above ctx's truncation.  The
+    result is cut back to ctx.
+    """
+    names = [n for n in ctx.names if n not in law.coefficient_names]
+    hi = law.at_truncation(ctx.truncation + 4)
+    work = hi.geometry_context(names + ["s"])
+    class_vars = [work.var(n) for n in names]
+    s = work.var("s")
+    x, ix = hi.x, hi.context.index(hi.x)
+    sigma = [-hi.log().substitute({x: root(hi, *class_vars)}, into=work) for root in roots]
+    exp_over_x = {m[:ix] + (m[ix] - 1,) + m[ix + 1 :]: c for m, c in hi.exp().terms.items()}
+    todd = invert_unit(hi.context.series(exp_over_x))
+    integrand = hi.exp().substitute({x: s}, into=work) ** k
+    for sj in sigma:
+        integrand = integrand * todd.substitute({x: s - sj}, into=work)
+    r = len(roots)
+    hs = h_polys(sigma, work.truncation, work)
+    out = work.zero()
+    for d in range(r - 1, work.truncation + 1):
+        out = out + integrand.partial_coefficient({"s": d}) * hs[d - r + 1]
+    return out.to_context(ctx)

@@ -13,9 +13,9 @@ those r powers: `reduce` sends t^k, k < r, to itself (the normal form, of
 t-degree < r) and `pushforward` to pi_!(t^k); both extend their list by the
 relation's recursion (`ProjBundleRing._map_by_powers`).
 
-A tower of projective bundles is a chain of such rings, each over the
-context of the one below (`TowerRing`).  The standard tower's point
-classes follow instead from the one class of P(L + O) by a recursion.
+The standard tower's point classes follow from the one class of P(L + O)
+by a recursion (`tower_classes`); the independent closed forms and
+pushforwards that check them live in `occ.oracles`.
 
 `pushforward` implements the Gysin map along P(E) -> X by Quillen's residue
 formula pi_!(p) = Res_t p(t) w(t) / prod_j F(t, x_j), w = 1 / F_y(t, 0).
@@ -278,67 +278,7 @@ def _random_element(rng, ctx, names, max_terms=4, max_pow=2):
     return acc
 
 
-# -- the P(L + O) pushforward formula ------------------------------------------
-
-
-def pushforward_p1_formula(law, u: Series) -> Series:
-    """pi_!(1) on P(L + O) in closed form: -(F(x, y) - x - y)/(x y) at x = u, y = iota(u).
-
-    That is -sum_{i,j>=1} b_ij e(L)^(i-1) e(L*)^(j-1) over the law
-    coefficients b_ij.  The sum needs them up to total order N + 2 to be
-    exact at truncation N, so the law is re-expanded that far.  Beyond the
-    series kernel it shares no code with the residue template, so it is an
-    independent oracle for it.
-    """
-    law2 = law.at_truncation(u.context.truncation + 2)
-    x, y = law2.context.var(law2.x), law2.context.var(law2.y)
-    b = exact_divide(law2.F - x - y, x * y)
-    return -b.substitute({law2.x: u, law2.y: law.inverse_at(u)}, into=u.context)
-
-
 # -- towers ---------------------------------------------------------------------
-
-
-class TowerRing:
-    """The tower over a point: P_0 = pt, P_{k+1} = P(M_k + O), M_{k+1} = M_k(1).
-
-    M_0 = O.  Level k lives in the context of the base point extended by
-    t_1..t_k; `m_classes[k]` is the first Chern class of M_k on P_k.
-    """
-
-    def __init__(self, law, depth):
-        self.law = law
-        ctx = self.base_context = law.geometry_context([])
-        self.rings = []
-        self.m_classes = [ctx.zero()]
-        for k in range(1, depth + 1):
-            bundle = SplitBundle(law, [self.m_classes[-1], ctx.zero()])
-            ring = ProjBundleRing(bundle, f"t{k}")
-            ctx = ring.context
-            self.rings.append(ring)
-            lifted = self.m_classes[-1].substitute({}, into=ctx)
-            self.m_classes.append(law.apply(lifted, ctx.var(f"t{k}")))
-
-    @property
-    def depth(self):
-        return len(self.rings)
-
-    def push_to_base(self, p: Series, level: int) -> Series:
-        """Push an element of the level-`level` ring all the way down.
-
-        Every level after the first consumes one weight of precision (the
-        truncation cut above re-enters one weight lower), so the result of an
-        l-level descent is exact up to weight N - l + 1.
-        """
-        for ring in reversed(self.rings[:level]):
-            p = ring.pushforward(p)
-        return p
-
-    def point_class(self, level: int) -> Series:
-        """[P_level]: the pushforward of 1 from level `level` to the base."""
-        if level == 0:
-            return self.base_context.one()
-        return self.push_to_base(self.rings[level - 1].context.one(), level)
 
 
 def _line_class(law) -> Series:

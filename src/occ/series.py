@@ -205,8 +205,8 @@ class Context:
     # -- derived contexts ----------------------------------------------------
 
     def extend(self, new_vars, truncation=None):
-        vs = [v if isinstance(v, Var) else Var(*v) for v in new_vars]
-        return Context(self.variables + tuple(vs), truncation or self.truncation)
+        vs = tuple(v if isinstance(v, Var) else Var(*v) for v in new_vars)
+        return Context(self.variables + vs, self.truncation if truncation is None else truncation)
 
     def with_truncation(self, truncation):
         return Context(self.variables, truncation)
@@ -664,11 +664,18 @@ def exact_divide(num: Series, den: Series) -> Series:
 def elementary_symmetric(values, k, one=None):
     """e_k of a list of series (or the full list e_0..e_len as `None` k).
 
-    Computed by the stable product recurrence; `values` must be non-empty
-    series over a common context unless `one` supplies the ring unit.
+    Computed by the stable product recurrence; e_k is zero for k above the
+    number of values.  `values` must be non-empty series over a common
+    context unless `one` supplies the ring unit.
     """
+    if k is not None and k < 0:
+        raise CalculusError("elementary symmetric index must be non-negative")
     if one is None:
+        if not values:
+            raise CalculusError("elementary_symmetric of no values needs `one`")
         one = values[0].context.one()
+    if k is not None and k > len(values):
+        return one.context.zero()
     es = [one] + [one.context.zero()] * len(values)
     for v in values:
         for j in range(len(es) - 1, 0, -1):

@@ -4,10 +4,11 @@ The universal coefficient generators m_i can be assigned rational values:
 0 for the additive theory, 1/(i+1) for the multiplicative one (so that the
 logarithm specializes to x and to x + x^2/2 + x^3/3 + ... respectively).
 
-On the multiplicative side, K-classes of line bundles are expressed through
+On the multiplicative side, a K-class is a degree-0 series whose constant
+term is its virtual rank.  K-classes of line bundles are expressed through
 the n-series: a line with Euler class u has class 1 - iota(u) = 1/(1-u), and
-its k-th tensor power has class 1 - [-k](u) = (1-u)^(-k).  The Chern
-character to K-theory is ch_m(E) = rank(E) - c_1(E*).
+its k-th tensor power has class 1 - [-k](u) = (1-u)^(-k) (`twist_class`).
+The Chern character to K-theory is ch_m(E) = rank(E) - c_1(E*).
 
 On the additive side, ch_a sends a line to exp(-c_1) and the Todd class of a
 line is c_1 / (exp(-c_1) - 1).  Note the sign convention: with this reading
@@ -17,6 +18,10 @@ the Todd class of the trivial line is the constant -1, and Todd classes are
 cancel out of the Riemann-Roch comparison.  The twisted first Chern classes
 1 - exp(u) and log(1 - u) and the primed Todd class c_1(L*)/log(1 - c_1(L*))
 invert the two Todd conventions against each other.
+
+The binomial Euler characteristic and the closed form of [P(L + O)] that
+`grr_check` and `conner_floyd_check` compare against come from
+`occ.oracles`.
 """
 
 from __future__ import annotations
@@ -37,7 +42,8 @@ from .series import (
 )
 from .fgl import ADDITIVE, MULTIPLICATIVE, FormalGroupLaw, make_law
 from .bundles import SplitBundle
-from .projective import ProjBundleRing, class_of_proj_line, pushforward_p1_formula, tower_classes
+from .projective import ProjBundleRing, class_of_proj_line, tower_classes
+from .oracles import k_chi_oracle, pushforward_p1_formula
 from .reports import CheckItem, Report, difference_detail
 
 
@@ -77,50 +83,14 @@ def specialize(sm: SpecializationMap, p: Series, into: Context | None = None) ->
 # -- K-theory side -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KClass:
-    """An element of the K-theory model: a degree-0 series over a
-    multiplicative-law context.  The constant term is the virtual rank."""
-
-    series: Series
-
-    @property
-    def virtual_rank(self):
-        return self.series.constant_term
-
-    def __add__(self, other):
-        return KClass(self.series + _unwrap(other))
-
-    def __sub__(self, other):
-        return KClass(self.series - _unwrap(other))
-
-    def __mul__(self, other):
-        return KClass(self.series * _unwrap(other))
-
-    def __eq__(self, other):
-        return self.series == _unwrap(other)
-
-    def __str__(self):
-        return str(self.series)
+def twist_class(law, u: Series, k: int) -> Series:
+    """[L^(x)k] = 1 - [-k](u): the class of the k-th tensor power; k = 1 gives [L]."""
+    return 1 - law.sum_n_at(-k, u)
 
 
-def _unwrap(x):
-    return x.series if isinstance(x, KClass) else x
-
-
-def line_class(law, u: Series) -> KClass:
-    """[L] = 1 - iota(u) for a line with Euler class u."""
-    return KClass(1 - law.inverse_at(u))
-
-
-def twist_class(law, u: Series, k: int) -> KClass:
-    """[L^(x)k] = 1 - [-k](u): the class of the k-th tensor power."""
-    return KClass(1 - law.sum_n_at(-k, u))
-
-
-def ch_m(E: SplitBundle) -> KClass:
+def ch_m(E: SplitBundle) -> Series:
     """The K-theory character rank(E) - c_1(E*) = sum_i (1 - iota(x_i))."""
-    return KClass(E.rank - E.dual().chern(1))
+    return E.rank - E.dual().chern(1)
 
 
 # -- additive side -------------------------------------------------------------------
@@ -155,11 +125,6 @@ def todd_prime_at_dual(v: Series) -> Series:
     return invert_unit(w)
 
 
-def todd_prime(law, u: Series) -> Series:
-    """The primed Todd class c_1(L*)/log(1 - c_1(L*)) with c_1(L*) = iota(u)."""
-    return todd_prime_at_dual(law.inverse_at(u))
-
-
 def twisted_c1(mode, u: Series) -> Series:
     """The twisted first Chern classes: "t" is 1 - exp(u), "t-prime" is log(1-u)."""
     if mode == "t":
@@ -172,27 +137,13 @@ def twisted_c1(mode, u: Series) -> Series:
 # -- Euler characteristics and Riemann-Roch ---------------------------------------------
 
 
-def k_chi_oracle(r: int, k: int) -> Fraction:
-    """chi(P^(r-1), O(k)) = binomial(k+r-1, r-1), as a polynomial in k.
-
-    Valid for negative k as well (the polynomial extension of the binomial).
-    """
-    if r < 1:
-        raise CalculusError("r must be >= 1")
-    num = 1
-    for j in range(1, r):
-        num *= k + j
-    return Fraction(num, factorial(r - 1))
-
-
 def k_euler_characteristic(r: int, k: int) -> Fraction:
     """chi(P^(r-1), O(k)) computed in the multiplicative model by pushforward."""
     law = make_law(MULTIPLICATIVE, max(r, 2))
     ctx = law.geometry_context([])
     ring = ProjBundleRing(SplitBundle(law, [ctx.zero()] * r), "t")
     cls = twist_class(law, ring.context.var("t"), k)
-    val = ring.pushforward(cls.series)
-    return val.constant_term
+    return ring.pushforward(cls).constant_term
 
 
 def grr_check(r: int, k: int) -> Report:

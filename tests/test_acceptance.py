@@ -15,14 +15,13 @@ from math import comb
 
 from occ.bundles import SplitBundle, whitney_check
 from occ.fgl import make_law
+from occ.oracles import pushforward_p1_formula
 from occ.projective import (
     ProjBundleRing,
-    TowerRing,
     class_of_proj_line,
     geometric_fgl_check,
     pb_relation_check,
     projection_formula_check,
-    pushforward_p1_formula,
     sequence_extend,
     tower_classes,
 )
@@ -155,6 +154,39 @@ def test_10_geometric_law_identity():
         rep = geometric_fgl_check(make_law(kind, trunc))
         assert rep.passed, f"{kind}: {fails(rep)}"
     assert time.monotonic() - start < 600
+
+
+class TowerRing:
+    """The tower over a point: P_0 = pt, P_{k+1} = P(M_k + O), M_{k+1} = M_k(1).
+
+    M_0 = O.  Level k lives in the context of the base point extended by
+    t_1..t_k; `m_classes[k]` is the first Chern class of M_k on P_k.
+    """
+
+    def __init__(self, law, depth):
+        self.law = law
+        ctx = self.base_context = law.geometry_context([])
+        self.rings = []
+        self.m_classes = [ctx.zero()]
+        for k in range(1, depth + 1):
+            bundle = SplitBundle(law, [self.m_classes[-1], ctx.zero()])
+            ring = ProjBundleRing(bundle, f"t{k}")
+            ctx = ring.context
+            self.rings.append(ring)
+            lifted = self.m_classes[-1].substitute({}, into=ctx)
+            self.m_classes.append(law.apply(lifted, ctx.var(f"t{k}")))
+
+    def point_class(self, level):
+        """[P_level]: the pushforward of 1 from level `level` down to the base.
+
+        Every level after the first consumes one weight of precision (the
+        truncation cut above re-enters one weight lower), so the result of
+        an l-level descent is exact up to weight N - l + 1.
+        """
+        p = self.rings[level - 1].context.one() if level else self.base_context.one()
+        for ring in reversed(self.rings[:level]):
+            p = ring.pushforward(p)
+        return p
 
 
 def test_11_proj_line_ratio_identity():

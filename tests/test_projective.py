@@ -5,6 +5,7 @@ import pytest
 
 from occ.bundles import SplitBundle, _random_root
 from occ.fgl import custom_law, make_law
+from occ.oracles import h_polys, log_coordinate_pushforward, pushforward_p1_formula
 from occ.projective import (
     ProjBundleRing,
     _random_element,
@@ -12,11 +13,10 @@ from occ.projective import (
     geometric_fgl_check,
     pb_relation_check,
     projection_formula_check,
-    pushforward_p1_formula,
     sequence_extend,
     tower_classes,
 )
-from occ.series import CalculusError, Context, ContextMismatch, Var, exact_divide, invert_unit
+from occ.series import CalculusError, Context, ContextMismatch, Var, exact_divide
 
 
 def rand_poly(rng, ctx, names, terms=4, max_pow=2):
@@ -118,15 +118,6 @@ def test_reduce_rejects_foreign_context():
 
 
 # -- pushforward ------------------------------------------------------------------
-
-
-def h_polys(neg_roots, n, ctx):
-    """Complete homogeneous symmetric functions h_0..h_n of the given values."""
-    h = [ctx.one()] + [ctx.zero()] * n
-    for y in neg_roots:
-        for m in range(1, n + 1):
-            h[m] = h[m] + y * h[m - 1]
-    return h
 
 
 def test_additive_pushforward_matches_h_polynomial_oracle():
@@ -465,32 +456,6 @@ def test_sequence_extend_error_paths():
         sequence_extend([ctx.one()], [], 4)
     with pytest.raises(CalculusError, match="length"):
         sequence_extend([u, u, -ctx.one()], [ctx.one()], 8)
-
-
-def log_coordinate_pushforward(law, roots, k, ctx):
-    """pi_!(t^k) on P(roots) over ctx, by Riemann-Roch in the logarithmic coordinate.
-
-    With s = l(t), sigma_j = -l(x_j) and Td(y) = y / exp(y):
-    pi_!(t^k) = sum_d [s^d](exp(s)^k prod_j Td(s - sigma_j)) h_{d-r+1}(sigma).
-    `roots` are functions of (law, u, v); the law is raised four orders above
-    ctx's truncation and the result is cut back to ctx.
-    """
-    hi = law.at_truncation(ctx.truncation + 4)
-    work = hi.geometry_context(["u", "v", "s"])
-    u, v, s = work.var("u"), work.var("v"), work.var("s")
-    x, ix = hi.x, hi.context.index(hi.x)
-    sigma = [-hi.log().substitute({x: root(hi, u, v)}, into=work) for root in roots]
-    exp_over_x = {m[:ix] + (m[ix] - 1,) + m[ix + 1 :]: c for m, c in hi.exp().terms.items()}
-    todd = invert_unit(hi.context.series(exp_over_x))
-    integrand = hi.exp().substitute({x: s}, into=work) ** k
-    for sj in sigma:
-        integrand = integrand * todd.substitute({x: s - sj}, into=work)
-    r = len(roots)
-    hs = h_polys(sigma, work.truncation, work)
-    out = work.zero()
-    for d in range(r - 1, work.truncation + 1):
-        out = out + integrand.partial_coefficient({"s": d}) * hs[d - r + 1]
-    return out.to_context(ctx)
 
 
 @pytest.mark.parametrize("kind", ["additive", "multiplicative", "universal"])

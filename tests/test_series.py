@@ -108,6 +108,10 @@ def test_context_mismatch_raises():
 def test_context_rejects_bad_truncation(truncation):
     with pytest.raises(CalculusError, match="positive integer"):
         ctx2(truncation)
+    with pytest.raises(CalculusError, match="positive integer"):
+        ctx2().extend([Var("z", 1, True)], truncation)
+    with pytest.raises(CalculusError, match="positive integer"):
+        make_law("universal", 5).geometry_context(["u"], truncation)
 
 
 def test_invert_unit():
@@ -164,6 +168,14 @@ def test_elementary_symmetric():
     # Newton: p2 = e1^2 - 2 e2
     p2 = xs[0] ** 2 + xs[1] ** 2 + xs[2] ** 2
     assert (e1 * e1 - 2 * e2 - p2).is_zero
+    # out of range: e_k vanishes above the count, a negative k is an error
+    assert elementary_symmetric(xs[:2], 3).is_zero
+    assert elementary_symmetric([], 1, one=c.one()).is_zero
+    assert elementary_symmetric([], 0, one=c.one()) == c.one()
+    with pytest.raises(CalculusError, match="non-negative"):
+        elementary_symmetric(xs[:2], -1)
+    with pytest.raises(CalculusError, match="needs `one`"):
+        elementary_symmetric([], 0)
 
 
 def test_symmetric_reduce_roundtrip():

@@ -10,20 +10,17 @@ from occ.series import (
     exp_of,
     first_difference,
 )
+from occ.oracles import k_chi_oracle
 from occ.specialization import (
-    KClass,
     SpecializationMap,
     ch_a,
     ch_m,
     conner_floyd_check,
     grr_check,
-    k_chi_oracle,
     k_euler_characteristic,
-    line_class,
     specialize,
     todd,
     todd_factor,
-    todd_prime,
     todd_prime_at_dual,
     twist_class,
     twisted_c1,
@@ -58,32 +55,21 @@ def test_line_class_geometric_series():
     law = make_law("multiplicative", 6)
     ctx = law.geometry_context(["u"])
     u = ctx.var("u")
-    cls = line_class(law, u)
-    assert cls.virtual_rank == 1
-    assert (cls.series * (1 - u) - 1).is_zero
+    cls = twist_class(law, u, 1)
+    assert cls.constant_term == 1
+    assert (cls * (1 - u) - 1).is_zero
 
 
 def test_twist_class_tensor_rule():
     law = make_law("multiplicative", 6)
     ctx = law.geometry_context(["u"])
     u = ctx.var("u")
-    assert (twist_class(law, u, 0).series - 1).is_zero
-    assert twist_class(law, u, 1) == line_class(law, u)
-    assert (twist_class(law, u, -1).series - (1 - u)).is_zero
+    assert (twist_class(law, u, 0) - 1).is_zero
+    assert twist_class(law, u, 1) == 1 - law.inverse_at(u)
+    assert (twist_class(law, u, -1) - (1 - u)).is_zero
     for k in (-2, 2, 3):
-        lhs = twist_class(law, u, k) * line_class(law, u)
+        lhs = twist_class(law, u, k) * twist_class(law, u, 1)
         assert lhs == twist_class(law, u, k + 1), k
-
-
-def test_kclass_arithmetic():
-    law = make_law("multiplicative", 5)
-    ctx = law.geometry_context(["u"])
-    u = ctx.var("u")
-    a = line_class(law, u)
-    b = twist_class(law, u, 2)
-    assert (a + b).virtual_rank == 2
-    assert (a - b).virtual_rank == 0
-    assert (a * b).virtual_rank == 1
 
 
 def test_ch_m_additive_on_sums_multiplicative_on_lines():
@@ -95,7 +81,7 @@ def test_ch_m_additive_on_sums_multiplicative_on_lines():
     assert ch_m(e.direct_sum(f)) == ch_m(e) + ch_m(f)
     tensor = SplitBundle(law, [law.apply(u, v)])
     assert ch_m(tensor) == ch_m(e) * ch_m(f)
-    assert ch_m(e) == line_class(law, u)
+    assert ch_m(e) == twist_class(law, u, 1)
 
 
 def test_ch_a_exponential_on_lines():
@@ -172,15 +158,6 @@ def test_todd_twist_identities_at_n8():
     # c1^t' turns the multiplicative law into sums
     lhs = twisted_c1("t-prime", law_m.apply(u, v))
     rhs = twisted_c1("t-prime", u) + twisted_c1("t-prime", v)
-    assert (lhs - rhs).is_zero
-
-
-def test_todd_prime_connects_to_todd_prime_at_dual():
-    law_m = make_law("multiplicative", 7)
-    ctx = law_m.geometry_context(["u"])
-    u = ctx.var("u")
-    lhs = todd_prime(law_m, u)
-    rhs = todd_prime_at_dual(law_m.inverse_at(u))
     assert (lhs - rhs).is_zero
 
 
