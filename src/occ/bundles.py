@@ -90,8 +90,8 @@ class SplitBundle:
 
     def relation_coefficients(self) -> list:
         """[a_0..a_r] with f(t) = sum a_i t^i, each a_i in the bundle's context."""
-        dual = self.dual()
-        return [dual.chern(self.rank - i) * ((-1) ** i) for i in range(self.rank + 1)]
+        es = elementary_symmetric(self.dual().roots, None, one=self.context.one())
+        return [es[self.rank - i] * ((-1) ** i) for i in range(self.rank + 1)]
 
 
 def _random_root(rng, law, vs):

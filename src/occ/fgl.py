@@ -19,12 +19,13 @@ A law carries its own context (the two formal variables plus any coefficient
 generators); geometry contexts for Chern-class computations are derived from
 it so the generators stay available.
 
-Built-in laws are shared, immutable values: `make_law` returns one law per
-(kind, truncation, x, y) for the life of the process, and a universal law
-raised or lowered by `at_truncation` is one law per generator set.  What a
-law computes lazily (logarithm, exponential, inverse, pushforward templates,
-tower classes) depends on the law alone, so every caller shares it.  Custom
-laws are built afresh on every call.
+A law's formal variables are always ``x`` and ``y``.  Built-in laws are
+shared, immutable values: one builder makes one law per (kind, generators,
+truncation) for the life of the process, so `make_law` and a universal law
+raised or lowered by `at_truncation` (which keeps its generators) share it.
+What a law computes lazily (logarithm, exponential, inverse, pushforward
+templates, tower classes) depends on the law alone, so every caller shares
+it.  Custom laws are built afresh on every call.
 """
 
 from __future__ import annotations
@@ -54,17 +55,16 @@ class FormalGroupLaw:
     built-in law, which `make_law` shares, shares them with every caller.
     """
 
-    def __init__(self, F: Series, kind="custom", x="x", y="y"):
+    x = "x"
+    y = "y"
+
+    def __init__(self, F: Series, kind="custom"):
         self.F = F
         self.kind = kind
-        self.x = x
-        self.y = y
         # x + y - xy does not respect the grading; custom laws carry none
         self.graded = kind in (ADDITIVE, UNIVERSAL)
         self.context = F.context
-        self.coefficient_names = tuple(
-            n for n in self.context.names if n not in (x, y)
-        )
+        self.coefficient_names = tuple(n for n in self.context.names if n not in ("x", "y"))
         self._log = None
         self._exp = None
         self._inverse = None
@@ -162,21 +162,19 @@ class FormalGroupLaw:
         """
         if order == self.truncation:
             return self
-        if self.kind in (ADDITIVE, MULTIPLICATIVE):
-            return make_law(self.kind, order, self.x, self.y)
-        if self.kind == UNIVERSAL:
-            return _universal_law(self.coefficient_names, order, self.x, self.y)
-        raise CalculusError("cannot change the truncation of a custom law")
+        if self.kind not in (ADDITIVE, MULTIPLICATIVE, UNIVERSAL):
+            raise CalculusError("cannot change the truncation of a custom law")
+        return _built_in(self.kind, self.coefficient_names, order)
 
     # -- derived contexts ------------------------------------------------------
 
-    def geometry_context(self, class_names, truncation=None) -> Context:
+    def geometry_context(self, class_names) -> Context:
         """A context with degree-1 nilpotent class variables plus the generators."""
         gens = tuple(
             v for v in self.context.variables if v.name in self.coefficient_names
         )
         vs = tuple(Var(n, 1, True) for n in class_names) + gens
-        return Context(vs, self.truncation if truncation is None else truncation)
+        return Context(vs, self.truncation)
 
     # -- axiom checks -----------------------------------------------------------
 
@@ -239,48 +237,42 @@ def _fresh_name(base, taken):
 _SHARED = {}
 
 
-def make_law(kind, truncation, x="x", y="y") -> FormalGroupLaw:
-    """One of the three built-in laws at a truncation order, shared per arguments."""
-    if kind == UNIVERSAL:
-        gen_names = tuple(f"m{i}" for i in range(1, truncation))
-        return _universal_law(gen_names, truncation, x, y)
-    if kind not in (ADDITIVE, MULTIPLICATIVE):
-        raise CalculusError(f"unknown law kind {kind!r}")
-    key = (kind, truncation, x, y)
-    if type(truncation) is int and key in _SHARED:
-        return _SHARED[key]
-    ctx = Context([Var(x, 1, True), Var(y, 1, True)], truncation)
-    xs, ys = ctx.var(x), ctx.var(y)
-    if kind == ADDITIVE:
-        law = FormalGroupLaw(xs + ys, ADDITIVE, x, y)
-        law._log = law._exp = xs
-    else:
-        law = FormalGroupLaw(xs + ys - xs * ys, MULTIPLICATIVE, x, y)
-        law._log = -log1p_of(-xs)
-        law._exp = 1 - exp_of(-xs)
-    _SHARED[key] = law
-    return law
+def make_law(kind, truncation) -> FormalGroupLaw:
+    """One of the three built-in laws at a truncation order, shared per arguments.
 
-
-def _universal_law(gen_names, truncation, x, y) -> FormalGroupLaw:
-    """exp(log x + log y) for log(x) = x + sum m_i x^(i+1) over given generators.
-
-    Shared per arguments, like `make_law`.
+    The universal law at N has the generators m_1..m_(N-1); the additive and
+    multiplicative laws have none.
     """
-    key = (gen_names, truncation, x, y)
+    if kind not in (ADDITIVE, MULTIPLICATIVE, UNIVERSAL):
+        raise CalculusError(f"unknown law kind {kind!r}")
+    gen_names = tuple(f"m{i}" for i in range(1, truncation)) if kind == UNIVERSAL else ()
+    return _built_in(kind, gen_names, truncation)
+
+
+def _built_in(kind, gen_names, truncation) -> FormalGroupLaw:
+    """The built-in law `kind` over the given generators, shared per arguments.
+
+    The universal law is exp(log x + log y) for log(x) = x + sum m_i x^(i+1);
+    the other two are set in closed form.
+    """
+    key = (kind, gen_names, truncation)
     if type(truncation) is int and key in _SHARED:
         return _SHARED[key]
     gens = [Var(n, -int(n[1:]), False) for n in gen_names]
-    ctx = Context([Var(x, 1, True), Var(y, 1, True)] + gens, truncation)
-    xs = ctx.var(x)
-    logx = xs
-    for v in gens:
-        logx = logx + ctx.var(v.name) * xs ** (-v.degree + 1)
-    exp = _revert(logx, x)
-    F = exp.substitute({x: logx + logx.substitute({x: ctx.var(y)})})
-    law = FormalGroupLaw(F, UNIVERSAL, x, y)
-    law._log = logx
-    law._exp = exp
+    ctx = Context([Var("x", 1, True), Var("y", 1, True)] + gens, truncation)
+    xs, ys = ctx.var("x"), ctx.var("y")
+    if kind == ADDITIVE:
+        F, log, exp = xs + ys, xs, xs
+    elif kind == MULTIPLICATIVE:
+        F, log, exp = xs + ys - xs * ys, -log1p_of(-xs), 1 - exp_of(-xs)
+    else:
+        log = xs
+        for v in gens:
+            log = log + ctx.var(v.name) * xs ** (-v.degree + 1)
+        exp = _revert(log, "x")
+        F = exp.substitute({"x": log + log.substitute({"x": ys})})
+    law = FormalGroupLaw(F, kind)
+    law._log, law._exp = log, exp
     _SHARED[key] = law
     return law
 
@@ -300,11 +292,11 @@ def _revert(f: Series, x) -> Series:
     return g
 
 
-def custom_law(F: Series, x="x", y="y") -> FormalGroupLaw:
-    """Wrap an arbitrary series as a (candidate) law; axioms are not assumed.
+def custom_law(F: Series) -> FormalGroupLaw:
+    """Wrap an arbitrary series in x, y as a (candidate) law; axioms are not assumed.
 
     Custom laws carry no coefficient grading, so `check_axioms` skips the
     homogeneity item for them (a correct hand-entered multiplicative law
     would otherwise fail on its degree-2 term).
     """
-    return FormalGroupLaw(F, "custom", x, y)
+    return FormalGroupLaw(F, "custom")

@@ -169,18 +169,17 @@ class ProjBundleRing:
 
         `images` starts with the images of t^0..t^(r-1); the relation
         sum_i cs[i] t^i extends it in place as far as p's t-degree needs.
-        `into` is the base context or the ring's own (the p_k keep t^0).
+        `into` is the base context or the ring's own (`Series.split` gives
+        the p_k there).
         """
         if p.context != self.context:
             raise ContextMismatch("incompatible contexts")
-        pad = (0,) * (into is self.context)
-        split = {}
-        for m, c in p.terms.items():
-            split.setdefault(m[-1], {})[m[:-1] + pad] = c
-        _extend_by_relation(cs, images, max(split, default=0))
+        parts = p.split(self.t, into)
+        _extend_by_relation(cs, images, len(parts) - 1)
         out = into.zero()
-        for k, sub in sorted(split.items()):
-            out = out + Series(into, sub, _trusted=True) * images[k]
+        for part, image in zip(parts, images):
+            if part.terms:
+                out = out + part * image
         return out
 
 
@@ -296,8 +295,11 @@ def tower_classes(law, depth) -> list:
     The tower-ratio identity gives [P_0] = 1, [P_{n+1}] = sum_{i<=n} G_i
     [P_{n-i}] for G(u) = sum_i G_i u^i = [P(L + O)]; G_i, i < depth, needs
     the law at max(N, depth - 1) (canonical laws only above N).  The
-    classes are cached on the law; each call returns a new list.
+    classes are cached on the law; each call returns a new list.  A
+    negative depth raises.
     """
+    if depth < 0:
+        raise CalculusError("tower depth must be non-negative")
     key = ("tower", depth)
     if key not in law._templates:
         ctx = law.geometry_context([])
@@ -320,7 +322,7 @@ def class_of_proj_line(law, u: Series) -> Series:
 # -- the geometric law identity ---------------------------------------------------
 
 
-def geometric_fgl_check(law, names=("u1", "u2")) -> Report:
+def geometric_fgl_check(law) -> Report:
     """Verify F(u1,u2) * (1 + u1 u2 ([P2]-[P3])) = u1 + u2 - u1 u2 [P1].
 
     P1 = P(L1+O) and P2 = P(L2 + L1 L2 + O); P3 = P(O(-1)+O) over
@@ -333,8 +335,9 @@ def geometric_fgl_check(law, names=("u1", "u2")) -> Report:
     P3's base: P2 = P(L1 + L1 L2 + O) breaks it at weight 6 (first at
     u1^5 u2 m1^5, universal law at N = 6).
     """
+    names = ("u1", "u2")
     ctx = law.geometry_context(names)
-    u1, u2 = ctx.var(names[0]), ctx.var(names[1])
+    u1, u2 = ctx.var("u1"), ctx.var("u2")
     F12 = law.apply(u1, u2)
     zero = ctx.zero()
 
@@ -349,7 +352,7 @@ def geometric_fgl_check(law, names=("u1", "u2")) -> Report:
     # pushforwards above already needed it at N + 2.
     law3 = law.at_truncation(ctx.truncation + 1)
     ctx3 = law3.geometry_context(names)
-    v1, v2 = ctx3.var(names[0]), ctx3.var(names[1])
+    v1, v2 = ctx3.var("u1"), ctx3.var("u2")
     lower = ProjBundleRing(SplitBundle(law3, [v2, law3.apply(v1, v2)]), "s1")
     o_minus_1 = law3.inverse_at(lower.context.var("s1"))
     p3 = lower.pushforward(class_of_proj_line(law3, o_minus_1)).to_context(ctx)

@@ -204,9 +204,9 @@ class Context:
 
     # -- derived contexts ----------------------------------------------------
 
-    def extend(self, new_vars, truncation=None):
+    def extend(self, new_vars):
         vs = tuple(v if isinstance(v, Var) else Var(*v) for v in new_vars)
-        return Context(self.variables + vs, self.truncation if truncation is None else truncation)
+        return Context(self.variables + vs, self.truncation)
 
     def with_truncation(self, truncation):
         return Context(self.variables, truncation)
@@ -768,28 +768,18 @@ def symmetric_reduce(p: Series, roots, targets) -> Series:
 
 
 def compose_coeffs(coeff_fn, s: Series, start=0) -> Series:
-    """Sum coeff_fn(k) * s**k for k >= start, until powers of s vanish.
+    """Sum coeff_fn(k) * s**k over start <= k <= N, one substitution of s into z.
 
-    `s` must be nilpotent (every term of weight at least 1), so that s**k
-    vanishes for k above the truncation order and the sum is finite.  Each
-    power is a full product; `exp_of` and `log1p_of` solve weight by weight
-    instead, and the callers left are `todd_factor` and `todd_prime_at_dual`.
+    The polynomial sum_k coeff_fn(k) z^k is built over a one-variable
+    context at s's truncation N.  `s` must be nilpotent (every term of
+    weight at least 1), so that s**k vanishes for k above N.  `exp_of` and
+    `log1p_of` solve weight by weight instead; the callers left are
+    `todd_factor` and `todd_prime_at_dual`.
     """
-    if s.terms and s.min_weight() == 0:
-        raise SubstitutionError("non-nilpotent substitution")
-    ctx = s.context
-    out = ctx.zero()
-    power = ctx.one()
-    for _ in range(start):
-        power = power * s
-    k = start
-    while not (k > 0 and power.is_zero):
-        c = coeff_fn(k)
-        if c:
-            out = out + power * c
-        power = power * s
-        k += 1
-    return out
+    N = s.context.truncation
+    z = Context([Var("z", 1, True)], N)
+    f = z.series({(k,): coeff_fn(k) for k in range(start, N + 1)})
+    return f.substitute({"z": s}, into=s.context)
 
 
 def _nilpotent_components(s: Series):

@@ -54,17 +54,15 @@ from .reports import CheckItem, Report, difference_detail
 class SpecializationMap:
     """An assignment of rational values to the universal coefficient generators."""
 
-    target: str
     assignment: dict
 
     @staticmethod
     def to_additive(law: FormalGroupLaw) -> "SpecializationMap":
-        return SpecializationMap(ADDITIVE, {n: Fraction(0) for n in law.coefficient_names})
+        return SpecializationMap({n: Fraction(0) for n in law.coefficient_names})
 
     @staticmethod
     def to_multiplicative(law: FormalGroupLaw) -> "SpecializationMap":
-        asn = {n: Fraction(1, int(n[1:]) + 1) for n in law.coefficient_names}
-        return SpecializationMap(MULTIPLICATIVE, asn)
+        return SpecializationMap({n: Fraction(1, int(n[1:]) + 1) for n in law.coefficient_names})
 
 
 def specialize(sm: SpecializationMap, p: Series, into: Context | None = None) -> Series:

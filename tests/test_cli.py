@@ -264,6 +264,27 @@ def test_run_computation_error_exits_one(tmp_path, capsys):
     assert "action 1 (pushforward)" in err
 
 
+def test_custom_law_reduces_but_cannot_push_forward_at_rank_two(tmp_path, capsys):
+    # a rank >= 2 pushforward needs the law at a higher truncation, which a
+    # custom law cannot give; reduce needs only the relation
+    task = {
+        "law": {"coefficients": {"1,0": "1", "0,1": "1", "1,1": "-1"}},
+        "truncation": 4,
+        "variables": ["u"],
+        "bundles": {"E": ["u", "0"]},
+        "actions": [{"op": "pushforward", "bundle": "E", "element": "1"}],
+    }
+    code, out, err = run_cli(capsys, ["run", write_task(tmp_path, task)])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: action 1 (pushforward): cannot change the truncation of a custom law\n"
+    )
+    task["actions"] = [{"op": "reduce", "bundle": "E", "element": "t^3"}]
+    assert run_cli(capsys, ["run", write_task(tmp_path, task)]) == (0, "u^2*t + 2*u^3*t\n", "")
+    task["law"] = "multiplicative"
+    assert run_cli(capsys, ["run", write_task(tmp_path, task)]) == (0, "u^2*t + 2*u^3*t\n", "")
+
+
 # -- argparse level ---------------------------------------------------------------------
 
 

@@ -282,7 +282,6 @@ def test_at_truncation_custom_law_fails():
 def test_built_in_laws_are_shared(kind):
     law = make_law(kind, 5)
     assert make_law(kind, 5) is law
-    assert make_law(kind, 5, "a", "b") is not law
     assert law.formal_inverse() is make_law(kind, 5).formal_inverse()
     wide = law.at_truncation(7)
     assert law.at_truncation(7) is wide
@@ -303,10 +302,3 @@ def test_bad_law_arguments_raise_after_a_valid_build():
     for kind in ("elliptic", "Additive", None):
         with pytest.raises(CalculusError, match="unknown law kind"):
             make_law(kind, 1)
-
-
-def test_geometry_context_truncation_override():
-    law = make_law("multiplicative", 6)
-    ctx = law.geometry_context(["u"], truncation=3)
-    assert ctx.truncation == 3
-    assert (ctx.var("u") ** 4).is_zero

@@ -350,6 +350,14 @@ def test_tower_classes_are_cached_per_law():
     assert [str(c) for c in tower_classes(make_law("universal", 4), 4)] == expected
 
 
+@pytest.mark.parametrize("depth", [-1, -3])
+def test_tower_classes_reject_negative_depth(depth):
+    law = make_law("universal", 4)
+    with pytest.raises(CalculusError, match="non-negative"):
+        tower_classes(law, depth)
+    assert ("tower", depth) not in law._templates
+
+
 @pytest.mark.parametrize("kind", ["additive", "multiplicative", "universal"])
 def test_tower_classes_restrict_from_one_order_up(kind):
     # the classes at N equal those at N + 1 with m_N = 0, for every depth up

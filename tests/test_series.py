@@ -108,10 +108,6 @@ def test_context_mismatch_raises():
 def test_context_rejects_bad_truncation(truncation):
     with pytest.raises(CalculusError, match="positive integer"):
         ctx2(truncation)
-    with pytest.raises(CalculusError, match="positive integer"):
-        ctx2().extend([Var("z", 1, True)], truncation)
-    with pytest.raises(CalculusError, match="positive integer"):
-        make_law("universal", 5).geometry_context(["u"], truncation)
 
 
 def test_invert_unit():
