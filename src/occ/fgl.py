@@ -39,6 +39,7 @@ from .series import (
     exp_of,
     invert_unit,
     log1p_of,
+    sum_of_products,
 )
 from .reports import CheckItem, Report, difference_detail
 
@@ -245,6 +246,8 @@ def make_law(kind, truncation) -> FormalGroupLaw:
     """
     if kind not in (ADDITIVE, MULTIPLICATIVE, UNIVERSAL):
         raise CalculusError(f"unknown law kind {kind!r}")
+    if type(truncation) is not int or truncation < 1:  # before range() reads it
+        raise CalculusError("truncation order must be a positive integer")
     gen_names = tuple(f"m{i}" for i in range(1, truncation)) if kind == UNIVERSAL else ()
     return _built_in(kind, gen_names, truncation)
 
@@ -266,9 +269,7 @@ def _built_in(kind, gen_names, truncation) -> FormalGroupLaw:
     elif kind == MULTIPLICATIVE:
         F, log, exp = xs + ys - xs * ys, -log1p_of(-xs), 1 - exp_of(-xs)
     else:
-        log = xs
-        for v in gens:
-            log = log + ctx.var(v.name) * xs ** (-v.degree + 1)
+        log = xs + sum_of_products(ctx, ((ctx.var(v.name), xs ** (1 - v.degree)) for v in gens))
         exp = _revert(log, "x")
         F = exp.substitute({"x": log + log.substitute({"x": ys})})
     law = FormalGroupLaw(F, kind)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .series import CalculusError, Series, exact_divide, invert_unit
+from .series import CalculusError, Series, exact_divide, invert_unit, sum_of_products
 
 
 def k_chi_oracle(r: int, k: int) -> Fraction:
@@ -80,9 +80,7 @@ def log_coordinate_pushforward(law, roots, k, ctx):
     integrand = hi.exp().substitute({x: s}, into=work) ** k
     for sj in sigma:
         integrand = integrand * todd.substitute({x: s - sj}, into=work)
-    r = len(roots)
+    # [s^d] for d >= len(roots) - 1 pairs with h_(d - len(roots) + 1)
+    parts = integrand.split("s", work, work.truncation + 1)[len(roots) - 1 :]
     hs = h_polys(sigma, work.truncation, work)
-    out = work.zero()
-    for d in range(r - 1, work.truncation + 1):
-        out = out + integrand.partial_coefficient({"s": d}) * hs[d - r + 1]
-    return out.to_context(ctx)
+    return sum_of_products(work, zip(parts, hs)).to_context(ctx)

@@ -11,7 +11,9 @@ The ring is free over the base on 1, t, ..., t^(r-1), and f fixes every
 higher power of t, so a base-linear map out of it is the list of images of
 those r powers: `reduce` sends t^k, k < r, to itself (the normal form, of
 t-degree < r) and `pushforward` to pi_!(t^k); both extend their list by the
-relation's recursion (`ProjBundleRing._map_by_powers`).
+relation's recursion (`ProjBundleRing._map_by_powers`).  Each sum of
+products here (f, sum_k p_k image_k, the recursions, the template's sums) is
+one `series.sum_of_products`.
 
 The standard tower's point classes follow from the one class of P(L + O)
 by a recursion (`tower_classes`); the independent closed forms and
@@ -50,6 +52,7 @@ from .series import (
     exact_divide,
     exp_of,
     log1p_of,
+    sum_of_products,
 )
 from .bundles import SplitBundle
 from .reports import CheckItem, Report, difference_detail
@@ -78,26 +81,20 @@ def pushforward_template(law, N, r, k) -> Series:
         x, y = ctx.var(hi.x), ctx.var(hi.y)
         log_u = log1p_of(exact_divide(hi.apply(x, hi.inverse_at(y)), x - y).to_context(lw) - 1)
         ls = log_u.split(hi.y, work, M + 1)
-        e = [work.one()] + [work.var(v.name) for v in evars]
-        power_sums = [None]
-        exponent = work.zero()
+        # Newton: p_b = sum_{i<=min(b,r)} (-1)^(i-1) e_i p_{b-i}, read with p_0 = b
+        se = [work.var(v.name) * (-1) ** i for i, v in enumerate(evars)]
+        ps = [None]
         for b in range(1, M + 1):
-            # Newton: p_b = sum_{i<b} (-1)^(i-1) e_i p_{b-i} + (-1)^(b-1) b e_b
-            p_b = e[b] * ((-1) ** (b - 1) * b) if b <= r else work.zero()
-            for i in range(1, min(b - 1, r) + 1):
-                p_b = p_b + e[i] * power_sums[b - i] * (-1) ** (i - 1)
-            power_sums.append(p_b)
-            exponent = exponent + ls[b] * p_b
+            ps[0] = work.const(b)
+            ps.append(sum_of_products(work, zip(se, reversed(ps))))
+        exponent = sum_of_products(work, zip(ls[1:], ps[1:]))
         A = hi.invariant_differential().to_context(work) * exp_of(-exponent)
         # Res_t t^j / prod_i (t - tau_i) = h_{j-r+1} follows the relation's recursion
         et = [tmpl.one()] + [tmpl.var(v.name) for v in evars]
         hs = [tmpl.zero()] * (r - 1) + [tmpl.one()]
         _extend_by_relation([et[r - i] * (-1) ** i for i in range(r + 1)], hs, M)
         coeffs = A.split(hi.x, tmpl, M + 1)
-        hi._templates[key] = [
-            sum((c * hs[d + j] for d, c in enumerate(coeffs) if d + j <= M), tmpl.zero())
-            for j in range(r)
-        ]
+        hi._templates[key] = [sum_of_products(tmpl, zip(coeffs, hs[j:])) for j in range(r)]
     return hi._templates[key][k]
 
 
@@ -120,11 +117,9 @@ class ProjBundleRing:
         self.context = bundle.context.extend([Var(t, 1, True)])
         self._base_coefficients = bundle.relation_coefficients()
         self._coefficients = [self.lift(a) for a in self._base_coefficients]
-        ts = self.context.var(t)
-        self.relation = sum(
-            (a * ts**i for i, a in enumerate(self._coefficients)), self.context.zero()
-        )
-        self._normal_forms = [ts**k for k in range(self.rank)]
+        powers = [self.context.var(t) ** i for i in range(self.rank + 1)]
+        self.relation = sum_of_products(self.context, zip(self._coefficients, powers))
+        self._normal_forms = powers[:-1]
         self._images = None
 
     def __repr__(self):
@@ -165,22 +160,17 @@ class ProjBundleRing:
         return self._map_by_powers(p, parent, a, self._images)
 
     def _map_by_powers(self, p, into, cs, images):
-        """sum_k p_k images[k] over `into` for p = sum_k p_k t^k.
+        """sum_k p_k images[k] for p = sum_k p_k t^k, the p_k split into `into`.
 
-        `images` starts with the images of t^0..t^(r-1); the relation
-        sum_i cs[i] t^i extends it in place as far as p's t-degree needs.
-        `into` is the base context or the ring's own (`Series.split` gives
-        the p_k there).
+        `into` is the base context or the ring's own.  `images` starts with
+        the images of t^0..t^(r-1); the relation sum_i cs[i] t^i extends it
+        in place as far as p's t-degree needs.
         """
         if p.context != self.context:
             raise ContextMismatch("incompatible contexts")
         parts = p.split(self.t, into)
         _extend_by_relation(cs, images, len(parts) - 1)
-        out = into.zero()
-        for part, image in zip(parts, images):
-            if part.terms:
-                out = out + part * image
-        return out
+        return sum_of_products(into, zip(parts, images))
 
 
 def pb_relation_check(truncation: int = 6) -> Report:
@@ -296,10 +286,10 @@ def tower_classes(law, depth) -> list:
     [P_{n-i}] for G(u) = sum_i G_i u^i = [P(L + O)]; G_i, i < depth, needs
     the law at max(N, depth - 1) (canonical laws only above N).  The
     classes are cached on the law; each call returns a new list.  A
-    negative depth raises.
+    depth that is not a non-negative integer raises.
     """
-    if depth < 0:
-        raise CalculusError("tower depth must be non-negative")
+    if not isinstance(depth, int) or depth < 0:
+        raise CalculusError("tower depth must be a non-negative integer")
     key = ("tower", depth)
     if key not in law._templates:
         ctx = law.geometry_context([])
@@ -307,8 +297,8 @@ def tower_classes(law, depth) -> list:
         if depth:
             G = _line_class(law.at_truncation(max(law.truncation, depth - 1)))
             g = G.split("u", ctx, depth)
-            for n in range(depth):
-                out.append(sum((g[i] * out[n - i] for i in range(n + 1)), ctx.zero()))
+            for _ in range(depth):
+                out.append(sum_of_products(ctx, zip(g, reversed(out))))
         law._templates[key] = out
     return list(law._templates[key])
 
@@ -406,8 +396,4 @@ def _extend_by_relation(cs, vals, limit):
     r = len(cs) - 1
     inv_lead = div_coeff(1, cs[r].constant_term)
     while len(vals) <= limit:
-        n = len(vals) - r
-        acc = cs[0].context.zero()
-        for j in range(r):
-            acc = acc + cs[j] * vals[n + j]
-        vals.append(acc * (-inv_lead))
+        vals.append(sum_of_products(cs[0].context, zip(cs, vals[len(vals) - r :])) * -inv_lead)

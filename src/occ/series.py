@@ -63,6 +63,12 @@ def _coerce_coeff(c):
     raise CalculusError(f"coefficient must be an integer or Fraction, got {type(c).__name__}")
 
 
+def _coerce_exponent(e):
+    if isinstance(e, int) and e >= 0:
+        return int(e)  # a bool becomes 0 or 1
+    raise CalculusError(f"exponent must be a non-negative integer, got {e!r}")
+
+
 def div_coeff(a, b):
     """The exact quotient a / b of two coefficients: an int when integral.
 
@@ -133,7 +139,7 @@ class Context:
         self._hash = hash((self.variables, truncation))
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, Context)
             and self.variables == other.variables
             and self.truncation == other.truncation
@@ -190,13 +196,10 @@ class Context:
                 exps = [0] * len(self.variables)
                 for name, e in mono.items():
                     exps[self.index(name)] = e
-                mono = tuple(exps)
-            else:
-                mono = tuple(mono)
-                if len(mono) != len(self.variables):
-                    raise CalculusError("exponent tuple has wrong length")
-            if any(e < 0 for e in mono):
-                raise CalculusError("negative exponent")
+                mono = exps
+            elif len(mono := tuple(mono)) != len(self.variables):
+                raise CalculusError("exponent tuple has wrong length")
+            mono = tuple(map(_coerce_exponent, mono))
             q = _coerce_coeff(c)
             if q and self.weight(mono) <= self.truncation:
                 out[mono] = out.get(mono, 0) + q
@@ -244,6 +247,20 @@ def _product(ctx, a, b):
     out = {}
     _mac(out, a, b, ctx.truncation)
     return _by_weight(ctx, _clean(out))
+
+
+def sum_of_products(ctx, pairs):
+    """sum a * b over (a, b) pairs of series over `ctx`: one `_mac` per pair into one dict.
+
+    Cleaned once at the end; a series from another context raises `ContextMismatch`.
+    """
+    out = {}
+    for a, b in pairs:
+        if a.context != ctx or b.context != ctx:
+            raise ContextMismatch("incompatible contexts")
+        if a.terms and b.terms:
+            _mac(out, _by_weight(ctx, a.terms), _by_weight(ctx, b.terms), ctx.truncation)
+    return Series(ctx, _clean(out), _trusted=True)
 
 
 def _term_key(ctx, exps):
@@ -309,11 +326,12 @@ class Series:
             count = 1 + max((m[i] for m in self.terms), default=-1)
         kept = [m for m in self.terms if m[i] < count]
         order = _slots(ctx, into, {i}, kept)
-        N, weight = into.truncation, into.weight
+        # a moved term keeps its weight but for `name`: only a lower N cuts
+        N, weight, check = into.truncation, into.weight, into.truncation < ctx.truncation
         parts = [{} for _ in range(count)]
         for m in kept:
             base = tuple(map((m + (0,)).__getitem__, order))
-            if weight(base) <= N:
+            if not check or weight(base) <= N:
                 parts[m[i]][base] = self.terms[m]
         return [Series(into, p, _trusted=True) for p in parts]
 
@@ -371,11 +389,7 @@ class Series:
             q = _coerce_coeff(other)
             terms = _clean({m: c * q for m, c in self.terms.items()})
             return Series(self.context, terms, _trusted=True)
-        self._check_ctx(other)
-        ctx = self.context
-        out = {}
-        _mac(out, _by_weight(ctx, self.terms), _by_weight(ctx, other.terms), ctx.truncation)
-        return Series(ctx, _clean(out), _trusted=True)
+        return sum_of_products(self.context, ((self, other),))
 
     __rmul__ = __mul__
 

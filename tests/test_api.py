@@ -1,0 +1,64 @@
+"""The public API of `occ` is the list `occ.__all__`, pinned here.
+
+A name added to or removed from the package's surface changes this list,
+so the change is made on purpose, with its reason in CHANGES.md.
+"""
+
+import occ
+
+PUBLIC = [
+    "ADDITIVE",
+    "CalculusError",
+    "CheckItem",
+    "Context",
+    "ContextMismatch",
+    "FormalGroupLaw",
+    "MULTIPLICATIVE",
+    "NotAUnit",
+    "NotDivisible",
+    "NotSymmetric",
+    "ProjBundleRing",
+    "ReductionFailed",
+    "Report",
+    "Series",
+    "SpecializationMap",
+    "SplitBundle",
+    "SubstitutionError",
+    "UNIVERSAL",
+    "Var",
+    "ch_a",
+    "ch_m",
+    "class_of_proj_line",
+    "conner_floyd_check",
+    "custom_law",
+    "elementary_symmetric",
+    "exact_divide",
+    "exp_of",
+    "first_difference",
+    "geometric_fgl_check",
+    "grr_check",
+    "invert_unit",
+    "k_chi_oracle",
+    "k_euler_characteristic",
+    "log1p_of",
+    "make_law",
+    "pb_relation_check",
+    "projection_formula_check",
+    "pushforward_p1_formula",
+    "sequence_extend",
+    "specialize",
+    "symmetric_reduce",
+    "todd",
+    "todd_factor",
+    "todd_prime_at_dual",
+    "tower_classes",
+    "twist_class",
+    "twisted_c1",
+    "whitney_check",
+]
+
+
+def test_public_names_are_pinned():
+    assert len(PUBLIC) == 48
+    assert occ.__all__ == PUBLIC
+    assert all(hasattr(occ, name) for name in PUBLIC)

@@ -296,7 +296,7 @@ def test_bad_law_arguments_raise_after_a_valid_build():
         for truncation in (True, 0, -1):  # True == 1 must not find the law at 1
             with pytest.raises(CalculusError, match="truncation"):
                 make_law(kind, truncation)
-    for kind in ("additive", "multiplicative"):
+    for kind in ("additive", "multiplicative", "universal"):
         with pytest.raises(CalculusError, match="truncation"):
             make_law(kind, 1.0)
     for kind in ("elliptic", "Additive", None):

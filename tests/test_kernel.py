@@ -23,6 +23,7 @@ from occ.series import (
     exp_of,
     invert_unit,
     log1p_of,
+    sum_of_products,
 )
 from occ.specialization import SpecializationMap, specialize, twist_class
 
@@ -155,6 +156,44 @@ def test_substitute_is_a_ring_homomorphism(data):
     assert phi(a + b) == phi(a) + phi(b)
     assert phi(ctx.one()) == 1
     assert_coefficients_canonical([phi(a), phi(a * b)])
+
+
+def sum_of_products_by_double_loop(ctx, pairs):
+    """sum a * b term by term over the dicts, dropping heavy monomials: the oracle."""
+    out = {}
+    for a, b in pairs:
+        for ma, ca in a.terms.items():
+            for mb, cb in b.terms.items():
+                m = tuple(ea + eb for ea, eb in zip(ma, mb))
+                if ctx.weight(m) <= ctx.truncation:
+                    out[m] = out.get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+@PROPERTY
+@given(st.data())
+def test_sum_of_products_equals_the_double_loop(data):
+    ctx = data.draw(contexts())
+    pairs = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        a, b = series_in(data.draw, ctx), series_in(data.draw, ctx)
+        pairs.append(data.draw(st.sampled_from([(a, b), (ctx.zero(), b), (a, ctx.zero())])))
+    got = sum_of_products(ctx, iter(pairs))
+    assert got.context == ctx
+    assert got.terms == sum_of_products_by_double_loop(ctx, pairs)
+    assert_coefficients_canonical(got)
+    # a sum that cancels, and a pair from another context
+    a, b = series_in(data.draw, ctx), series_in(data.draw, ctx)
+    assert sum_of_products(ctx, [(a, b), (-a, b)]).is_zero
+    foreign = ctx.with_truncation(ctx.truncation + 1).zero()
+    for pair in ((a, foreign), (foreign, b)):
+        with pytest.raises(ContextMismatch, match="incompatible contexts"):
+            sum_of_products(ctx, pairs + [pair])
+
+
+def test_sum_of_products_of_no_pairs_is_zero():
+    ctx = Context([Var("x", 1, True)], 3)
+    assert sum_of_products(ctx, []) == ctx.zero()
 
 
 # -- exp, log and inverse weight by weight ----------------------------------------------

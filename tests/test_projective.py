@@ -350,12 +350,13 @@ def test_tower_classes_are_cached_per_law():
     assert [str(c) for c in tower_classes(make_law("universal", 4), 4)] == expected
 
 
-@pytest.mark.parametrize("depth", [-1, -3])
+@pytest.mark.parametrize("depth", [-1, -3, 2.0])
 def test_tower_classes_reject_negative_depth(depth):
     law = make_law("universal", 4)
     with pytest.raises(CalculusError, match="non-negative"):
         tower_classes(law, depth)
-    assert ("tower", depth) not in law._templates
+    # 2.0 == 2, so a cached depth 2 would match a plain `in`
+    assert [k for k in law._templates if k == ("tower", depth) and type(k[1]) is type(depth)] == []
 
 
 @pytest.mark.parametrize("kind", ["additive", "multiplicative", "universal"])

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -108,6 +109,18 @@ def test_context_mismatch_raises():
 def test_context_rejects_bad_truncation(truncation):
     with pytest.raises(CalculusError, match="positive integer"):
         ctx2(truncation)
+
+
+def test_series_takes_integer_exponents_only():
+    c = Context([Var("u", 1, True), Var("m1", -1, False)], 4)
+    for bad in ([({"u": 1.5}, 1)], {(1, 0.0): 1}, {"ab": 1}, {(1, -1): 1}, {(Fraction(1), 0): 1}):
+        with pytest.raises(CalculusError, match="exponent must be a non-negative integer"):
+            c.series(bad)
+    # a bool exponent becomes 0 or 1, as a bool coefficient does
+    s = c.series([({"u": True, "m1": False}, 1), ((True, 1), 2)])
+    assert s.terms == {(1, 0): 1, (1, 1): 2}
+    assert all(type(e) is int for m in s.terms for e in m)
+    assert "true" not in json.dumps(s.to_json_obj())  # {"u": True} == {"u": 1}
 
 
 def test_invert_unit():
