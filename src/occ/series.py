@@ -13,13 +13,24 @@ truncation order is identically zero.  Exponents of non-nilpotent variables
 The canonical order on terms is ascending nilpotent weight, then descending
 lexicographic exponent order in the context's variable order.  Printing,
 JSON serialization and first-discrepancy reporting all follow it.
+
+A :class:`Series` is an immutable value: no code may mutate its `terms`
+after construction, so what a series caches about its terms never goes
+stale.  The one it caches is its terms sorted by weight with denominators
+cleared, the form the product kernel reads: each operand clears its
+denominators once, the pairs of a sum of products are brought to one common
+denominator, the pair loop runs on ints, and each output term is divided
+once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import add, itemgetter, mul
 from typing import Iterable, NamedTuple
+
+_is_int = int.__instancecheck__  # bool never occurs: coefficients are int or Fraction
 
 class CalculusError(Exception):
     """Base class for all arithmetic/validation errors raised here."""
@@ -242,6 +253,32 @@ def _slots(ctx, target, skip, monomials):
     return order
 
 
+def _cleared(s):
+    """(d, [(weight, monomial, d * coefficient), ...] sorted by weight) for a series.
+
+    d is the least common denominator of the coefficients, so every entry is
+    an int.  Computed once per series and kept on it.
+    """
+    if s._cleared is None:
+        items = _by_weight(s.context, s.terms)
+        if all(map(_is_int, s.terms.values())):
+            s._cleared = (1, items)
+        else:
+            d = lcm(*(c.denominator for _, _, c in items if type(c) is not int))
+            s._cleared = (d, [(w, m, c * d if type(c) is int else c.numerator * (d // c.denominator))
+                              for w, m, c in items])
+    return s._cleared
+
+
+def _weight_sorted(s):
+    """The terms of a series as (weight, monomial, coefficient), sorted by weight."""
+    d, items = _cleared(s)
+    if d == 1:
+        return items
+    terms = s.terms
+    return [(w, m, terms[m]) for w, m, _ in items]
+
+
 def _product(ctx, a, b):
     """The product of two weight-sorted term lists, as a weight-sorted term list."""
     out = {}
@@ -252,15 +289,28 @@ def _product(ctx, a, b):
 def sum_of_products(ctx, pairs):
     """sum a * b over (a, b) pairs of series over `ctx`: one `_mac` per pair into one dict.
 
-    Cleaned once at the end; a series from another context raises `ContextMismatch`.
+    The accumulation is kept over one common denominator L, the lcm of the
+    pairs' denominators, so the pair loop runs on ints and each output term
+    is divided by L once.  A series from another context raises
+    `ContextMismatch`.
     """
     out = {}
+    L = 1
+    N = ctx.truncation
     for a, b in pairs:
         if a.context != ctx or b.context != ctx:
             raise ContextMismatch("incompatible contexts")
         if a.terms and b.terms:
-            _mac(out, _by_weight(ctx, a.terms), _by_weight(ctx, b.terms), ctx.truncation)
-    return Series(ctx, _clean(out), _trusted=True)
+            (da, a), (db, b) = _cleared(a), _cleared(b)
+            d = da * db
+            if L % d:  # a new denominator: bring what is accumulated to the new L
+                g = lcm(L, d) // L
+                out = {m: c * g for m, c in out.items()}
+                L *= g
+            _mac(out, a if d == L else [(w, m, c * (L // d)) for w, m, c in a], b, N)
+    if L == 1:
+        return Series(ctx, {m: c for m, c in out.items() if c}, _trusted=True)
+    return Series(ctx, {m: div_coeff(c, L) for m, c in out.items() if c}, _trusted=True)
 
 
 def _term_key(ctx, exps):
@@ -271,18 +321,12 @@ def _term_key(ctx, exps):
 class Series:
     """A truncated power series: a sparse map from exponent tuples to coefficients."""
 
-    __slots__ = ("context", "terms")
+    __slots__ = ("context", "terms", "_cleared")
 
     def __init__(self, context, terms, _trusted=False):
         self.context = context
-        if _trusted:
-            self.terms = terms
-        else:
-            self.terms = {}
-            for m, c in terms.items():
-                q = _coerce_coeff(c)
-                if q and context.weight(m) <= context.truncation:
-                    self.terms[tuple(m)] = q
+        self.terms = terms if _trusted else context.series(terms).terms
+        self._cleared = None  # filled by `_cleared`
 
     # -- inspection ----------------------------------------------------------
 
@@ -465,7 +509,7 @@ class Series:
         # profile (exponents of the first mapped variables), as weight-sorted
         # term lists: a profile's product is the power of its last variable
         # times the product of its prefix, one product per profile
-        powers = [[one, _by_weight(target, images[i].terms)] for i in mapped_idx]
+        powers = [[one, _weight_sorted(images[i])] for i in mapped_idx]
         products = {(): one}
         out = {}
         for m, c in self.terms.items():
@@ -557,10 +601,10 @@ def first_difference(a, b):
 # -- units and exact division ------------------------------------------------
 
 
-def _components(ctx, terms):
-    """{weight: [(weight, monomial, coefficient), ...]} for a term dict."""
+def _components(s):
+    """{weight: [(weight, monomial, coefficient), ...]} for a series."""
     out = {}
-    for t in _by_weight(ctx, terms):
+    for t in _weight_sorted(s):
         out.setdefault(t[0], []).append(t)
     return out
 
@@ -598,7 +642,7 @@ def invert_unit(a: Series) -> Series:
     ctx = a.context
     c0 = a.constant_term
     # the components of a by weight; the weight-0 one must be c0 alone
-    by_weight = _components(ctx, a.terms)
+    by_weight = _components(a)
     if c0 == 0 or len(by_weight.pop(0, ())) != 1:
         raise NotAUnit("not a unit")
     inv0 = div_coeff(1, c0)
@@ -655,7 +699,7 @@ def exact_divide(num: Series, den: Series) -> Series:
     if num.min_weight() < d:
         raise NotDivisible("not divisible")
     den_low = {m: c for m, c in den.terms.items() if w(m) == d}
-    neg_den = [(wd, md, -cd) for wd, md, cd in _by_weight(ctx, den.terms)]
+    neg_den = [(wd, md, -cd) for wd, md, cd in _weight_sorted(den)]
     N = ctx.truncation
     rem = dict(num.terms)
     q = {}
@@ -798,7 +842,7 @@ def compose_coeffs(coeff_fn, s: Series, start=0) -> Series:
 
 def _nilpotent_components(s: Series):
     """`_components` of s, which must have no term of weight 0."""
-    by_weight = _components(s.context, s.terms)
+    by_weight = _components(s)
     if 0 in by_weight:
         raise SubstitutionError("non-nilpotent substitution")
     return by_weight
@@ -811,7 +855,10 @@ def exp_of(s: Series) -> Series:
     so A = exp(s) has A_0 = 1 and w A_w = sum_{j>=1} j s_j A_(w-j).
     """
     ctx = s.context
-    ds = {j: [(j, m, j * c) for _, m, c in items] for j, items in _nilpotent_components(s).items()}
+    ds = {
+        j: [(j, m, _coerce_coeff(j * c)) for _, m, c in items]
+        for j, items in _nilpotent_components(s).items()
+    }
     y = _solve_by_weight(
         ctx, ds, 1, lambda w, comp: {m: div_coeff(c, w) for m, c in comp.items() if c}
     )

@@ -1,16 +1,21 @@
-"""Byte-identity guard for the cold pushforward template and the tower classes.
+"""Byte-identity guard for the cold pushforward template, the tower classes
+and pushforwards of elements with fractional coefficients.
 
 The SHA-256 digests of the printed results were recorded before the template
 path was rewritten (graded exp/log, one-pass split, one product per
-substitution profile); every rewrite of that path must reproduce them.
+substitution profile) and, for the fractional pushforwards, before the
+product kernel cleared denominators; every rewrite of these paths must
+reproduce them.
 """
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
+from occ.bundles import SplitBundle
 from occ.fgl import make_law
-from occ.projective import pushforward_template, tower_classes
+from occ.projective import ProjBundleRing, pushforward_template, tower_classes
 
 
 def digest(series_list):
@@ -59,3 +64,18 @@ def test_pushforward_template_digest(kind, r, N):
 def test_universal_tower_classes_digest():
     classes = tower_classes(make_law("universal", 6), 7)
     assert digest(classes) == "e346a0f79b3691862d157fc97e53609e1abf16c185de199290ec5b1d8c29081e"
+
+
+def test_fractional_pushforwards_digest():
+    """pi_! of elements with denominators 2, 3 and 4: ranks 1-3, every law, t-degree <= r + 1."""
+    out = []
+    for kind in ("additive", "multiplicative", "universal"):
+        law = make_law(kind, 5)
+        ctx = law.geometry_context(["u", "v"])
+        u, v = ctx.var("u"), ctx.var("v")
+        for r in (1, 2, 3):
+            ring = ProjBundleRing(SplitBundle(law, [u, law.apply(u, v), v][:r]), "t")
+            t, lu, lv = ring.var("t"), ring.lift(u), ring.lift(v)
+            body = Fraction(1, 2) + Fraction(2, 3) * lu - Fraction(3, 4) * lv * lv
+            out.extend(ring.pushforward(t**k * body + Fraction(5, 2) * lu * t) for k in range(r + 2))
+    assert digest(out) == "4e62c0e3357f1d25dbe54281bd8a2518416e44ea35f588c947c7d04744637c83"

@@ -174,14 +174,19 @@ def sum_of_products_by_double_loop(ctx, pairs):
 @given(st.data())
 def test_sum_of_products_equals_the_double_loop(data):
     ctx = data.draw(contexts())
+    # operands over mixed denominators, never zero, one of them shared by several pairs
+    over = lambda: (series_in(data.draw, ctx) + 1) * Fraction(1, data.draw(st.sampled_from([2, 3, 4])))
+    shared = over()
     pairs = []
     for _ in range(data.draw(st.integers(0, 4))):
-        a, b = series_in(data.draw, ctx), series_in(data.draw, ctx)
-        pairs.append(data.draw(st.sampled_from([(a, b), (ctx.zero(), b), (a, ctx.zero())])))
-    got = sum_of_products(ctx, iter(pairs))
-    assert got.context == ctx
-    assert got.terms == sum_of_products_by_double_loop(ctx, pairs)
-    assert_coefficients_canonical(got)
+        a, b = over(), data.draw(st.sampled_from([shared, over()]))
+        pairs.append(data.draw(st.sampled_from([(a, b), (b, a), (ctx.zero(), b), (a, ctx.zero())])))
+    want = sum_of_products_by_double_loop(ctx, pairs)
+    for _ in range(2):  # the second time, every operand's cleared terms are cached
+        got = sum_of_products(ctx, iter(pairs))
+        assert got.context == ctx
+        assert got.terms == want
+        assert_coefficients_canonical(got)
     # a sum that cancels, and a pair from another context
     a, b = series_in(data.draw, ctx), series_in(data.draw, ctx)
     assert sum_of_products(ctx, [(a, b), (-a, b)]).is_zero

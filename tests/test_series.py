@@ -123,6 +123,20 @@ def test_series_takes_integer_exponents_only():
     assert "true" not in json.dumps(s.to_json_obj())  # {"u": True} == {"u": 1}
 
 
+def test_series_constructor_checks_monomials_as_context_series_does():
+    c = Context([Var("u", 1, True), Var("m1", -1, False)], 4)
+    for bad, message in (
+        ({(1.5, 0): 1}, "exponent must be a non-negative integer"),
+        ({(-1, 0): 1}, "exponent must be a non-negative integer"),
+        ({(1,): 1}, "wrong length"),
+    ):
+        with pytest.raises(CalculusError, match=message):
+            Series(c, bad)
+    s = Series(c, {(True, 0): 1})
+    assert s.terms == {(1, 0): 1} and all(type(e) is int for m in s.terms for e in m)
+    assert s.to_json_obj() == {"terms": [{"monomial": {"u": 1}, "coeff": "1"}]}
+
+
 def test_invert_unit():
     c = ctx2()
     x = c.var("x")
