@@ -270,15 +270,6 @@ def _cleared(s):
     return s._cleared
 
 
-def _weight_sorted(s):
-    """The terms of a series as (weight, monomial, coefficient), sorted by weight."""
-    d, items = _cleared(s)
-    if d == 1:
-        return items
-    terms = s.terms
-    return [(w, m, terms[m]) for w, m, _ in items]
-
-
 def _product(ctx, a, b):
     """The product of two weight-sorted term lists, as a weight-sorted term list."""
     out = {}
@@ -509,7 +500,7 @@ class Series:
         # profile (exponents of the first mapped variables), as weight-sorted
         # term lists: a profile's product is the power of its last variable
         # times the product of its prefix, one product per profile
-        powers = [[one, _weight_sorted(images[i])] for i in mapped_idx]
+        powers = [[one, _by_weight(target, images[i].terms)] for i in mapped_idx]
         products = {(): one}
         out = {}
         for m, c in self.terms.items():
@@ -604,23 +595,26 @@ def first_difference(a, b):
 def _components(s):
     """{weight: [(weight, monomial, coefficient), ...]} for a series."""
     out = {}
-    for t in _weight_sorted(s):
+    for t in _by_weight(s.context, s.terms):
         out.setdefault(t[0], []).append(t)
     return out
 
 
-def _solve_by_weight(ctx, f, y0, finish):
-    """The terms of y, solved weight by weight from the constant term `y0`.
+def _solve_by_weight(f, y0, top, finish):
+    """The terms of y, solved weight by weight from its weight-0 terms `y0`.
 
-    y_w = finish(w, sum_{j>=1} f_j y_(w-j)) for w = 1..N, where `f` maps a
+    y_w = finish(w, sum_{j>=1} f_j y_(w-j)) for w = 1..top, where `f` maps a
     weight j >= 1 to the terms of f_j as `_components` lists them and
     `finish` turns the accumulated term dict into the terms of y_w.  Each
     weight is one convolution of f with the known part of y, through `_mac`,
     so the whole solve costs about one product.  A weight-0 generator (an
-    m_i) rides along in the monomials and never shifts a weight.
+    m_i) rides along in the monomials and never shifts a weight.  The weights
+    are labels: a quotient by a divisor of lowest weight d labels the
+    divisor's weight-(d+j) component j, so y_w holds terms of weight w and
+    the convolution terms of weight w + d.
     """
-    ys = {0: [(0, (0,) * len(ctx.variables), y0)]} if y0 else {}
-    for w in range(1, ctx.truncation + 1):
+    ys = {0: [(0, m, c) for m, c in y0.items()]}
+    for w in range(1, top + 1):
         comp = {}
         for j, fj in f.items():
             yj = ys.get(w - j)
@@ -647,10 +641,11 @@ def invert_unit(a: Series) -> Series:
         raise NotAUnit("not a unit")
     inv0 = div_coeff(1, c0)
     f = {j: [(j, m, -inv0 * c) for _, m, c in items] for j, items in by_weight.items()}
-    return Series(ctx, _solve_by_weight(ctx, f, inv0, lambda w, comp: _clean(comp)), _trusted=True)
+    y = _solve_by_weight(f, ctx.const(inv0).terms, ctx.truncation, lambda w, comp: _clean(comp))
+    return Series(ctx, y, _trusted=True)
 
 
-def _divide_homogeneous(ctx, num, den):
+def _divide_homogeneous(num, den):
     """Divide weight-homogeneous term dicts exactly; raise NotDivisible otherwise.
 
     Reduction by the lexicographically leading monomial of `den`; lex order on
@@ -681,12 +676,14 @@ def _divide_homogeneous(ctx, num, den):
 
 
 def exact_divide(num: Series, den: Series) -> Series:
-    """Exact quotient num/den; raises NotDivisible on any nonzero remainder.
+    """Exact quotient q = num/den; raises NotDivisible on any nonzero remainder.
 
-    Works weight by weight against the lowest-weight homogeneous component of
-    the divisor, so the divisor need not be a unit (e.g. dividing by a
-    Vandermonde product or by a single nilpotent variable is fine as long as
-    the division is exact within the truncation order).
+    With d the lowest weight of the divisor, q is solved weight by weight,
+    q_k = (num_(k+d) - sum_{j>=1} den_(d+j) q_(k-j)) / den_d for k = 0..N-d,
+    each step an exact division by the divisor's lowest-weight component.
+    So the divisor need not be a unit (e.g. dividing by a Vandermonde product
+    or by a single nilpotent variable is fine as long as the division is
+    exact within the truncation order).
     """
     num._check_ctx(den)
     ctx = num.context
@@ -694,25 +691,19 @@ def exact_divide(num: Series, den: Series) -> Series:
         raise NotDivisible("division by zero series")
     if num.is_zero:
         return ctx.zero()
-    w = ctx.weight
-    d = den.min_weight()
-    if num.min_weight() < d:
+    nums, dens = _components(num), _components(den)
+    d = min(dens)
+    if min(nums) < d:
         raise NotDivisible("not divisible")
-    den_low = {m: c for m, c in den.terms.items() if w(m) == d}
-    neg_den = [(wd, md, -cd) for wd, md, cd in _weight_sorted(den)]
-    N = ctx.truncation
-    rem = dict(num.terms)
-    q = {}
-    for k in range(0, N - d + 1):
-        comp = {m: c for m, c in rem.items() if w(m) == k + d}
-        if not comp:
-            continue
-        qk = _divide_homogeneous(ctx, comp, den_low)
-        q.update(qk)
-        _mac(rem, [(k, m, c) for m, c in qk.items()], neg_den, N)
-        rem = _clean(rem)
-    if rem:
-        raise NotDivisible("not divisible")
+    low = {m: c for _, m, c in dens.pop(d)}
+    f = {w - d: [(w - d, m, -c) for _, m, c in items] for w, items in dens.items()}
+
+    def finish(k, comp):
+        for _, m, c in nums.get(k + d, ()):
+            comp[m] = comp.get(m, 0) + c
+        return _divide_homogeneous(_clean(comp), low)
+
+    q = _solve_by_weight(f, finish(0, {}), ctx.truncation - d, finish)
     return Series(ctx, q, _trusted=True)
 
 
@@ -860,7 +851,8 @@ def exp_of(s: Series) -> Series:
         for j, items in _nilpotent_components(s).items()
     }
     y = _solve_by_weight(
-        ctx, ds, 1, lambda w, comp: {m: div_coeff(c, w) for m, c in comp.items() if c}
+        ds, ctx.one().terms, ctx.truncation,
+        lambda w, comp: {m: div_coeff(c, w) for m, c in comp.items() if c},
     )
     return Series(ctx, y, _trusted=True)
 
@@ -880,6 +872,6 @@ def log1p_of(s: Series) -> Series:
             comp[m] = comp.get(m, 0) + w * c
         return _clean(comp)
 
-    y = _solve_by_weight(ctx, neg, 0, finish)
+    y = _solve_by_weight(neg, {}, ctx.truncation, finish)
     weight = ctx.weight
     return Series(ctx, {m: div_coeff(c, weight(m)) for m, c in y.items()}, _trusted=True)

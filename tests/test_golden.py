@@ -1,11 +1,11 @@
-"""Byte-identity guard for the cold pushforward template, the tower classes
-and pushforwards of elements with fractional coefficients.
+"""Byte-identity guard for the cold pushforward template, the tower classes,
+pushforwards of elements with fractional coefficients and exact quotients.
 
 The SHA-256 digests of the printed results were recorded before the template
 path was rewritten (graded exp/log, one-pass split, one product per
-substitution profile) and, for the fractional pushforwards, before the
-product kernel cleared denominators; every rewrite of these paths must
-reproduce them.
+substitution profile), for the fractional pushforwards before the product
+kernel cleared denominators, and for the quotients before exact division
+became a graded solve; every rewrite of these paths must reproduce them.
 """
 
 import hashlib
@@ -16,6 +16,7 @@ import pytest
 from occ.bundles import SplitBundle
 from occ.fgl import make_law
 from occ.projective import ProjBundleRing, pushforward_template, tower_classes
+from occ.series import exact_divide
 
 
 def digest(series_list):
@@ -79,3 +80,24 @@ def test_fractional_pushforwards_digest():
             body = Fraction(1, 2) + Fraction(2, 3) * lu - Fraction(3, 4) * lv * lv
             out.extend(ring.pushforward(t**k * body + Fraction(5, 2) * lu * t) for k in range(r + 2))
     assert digest(out) == "4e62c0e3357f1d25dbe54281bd8a2518416e44ea35f588c947c7d04744637c83"
+
+
+def test_exact_quotients_digest():
+    """F(x, iota(y))/(x - y) and (F - x - y)/(x y) at N = 2..8 (universal to 7), and
+    the unit e(E*(-1))/f(t) of the P(E) relation check for r = 1..3 at N = 6."""
+    out = []
+    for kind, top in (("additive", 8), ("multiplicative", 8), ("universal", 7)):
+        for N in range(2, top + 1):
+            law = make_law(kind, N)
+            x, y = law.context.var(law.x), law.context.var(law.y)
+            out.append(exact_divide(law.apply(x, law.inverse_at(y)), x - y))
+            out.append(exact_divide(law.F - x - y, x * y))
+        law = make_law(kind, 6)
+        for r in (1, 2, 3):
+            names = [f"u{i}" for i in range(1, r + 1)]
+            ctx = law.geometry_context(names)
+            ring = ProjBundleRing(SplitBundle(law, [ctx.var(n) for n in names]), "t")
+            up = SplitBundle(law, [ring.lift(ctx.var(n)) for n in names])
+            euler = up.dual().twist_by_line(law.inverse_at(ring.var("t"))).euler()
+            out.append(exact_divide(euler, ring.relation))
+    assert digest(out) == "573d6e0e0db0b1a0a7385c8ba6ebea095e014d45cd7bd8615a231e6837ed2dc5"

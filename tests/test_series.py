@@ -168,6 +168,29 @@ def test_exact_divide_and_failure():
     assert (q - (1 + x * y - y**2)).is_zero
     with pytest.raises(NotDivisible, match="not divisible"):
         exact_divide(x * x + y, x + y)
+    # the remainder x^3 y has weight 4: exact below it, not divisible from it on
+    for n in (3, 4, 5):
+        xn, yn = ctx2(n).var("x"), ctx2(n).var("y")
+        num = (xn + yn) * (1 + xn) + xn**3 * yn
+        if n < 4:
+            assert exact_divide(num, xn + yn) == 1 + xn
+        else:
+            with pytest.raises(NotDivisible, match="not divisible"):
+                exact_divide(num, xn + yn)
+    # a weight-0 generator in the divisor's lowest component
+    g = Context((Var("x", 1, True), Var("y", 1, True), Var("m1", -1, False)), 4)
+    gx, gy, m1 = g.var("x"), g.var("y"), g.var("m1")
+    with pytest.raises(NotDivisible, match="not divisible"):
+        exact_divide(m1 * gx, (1 + m1) * gx)
+    assert exact_divide((1 + m1) * gx * (1 + gy), (1 + m1) * gx) == 1 + gy
+    # the numerator starts below the divisor's lowest weight
+    with pytest.raises(NotDivisible, match="not divisible"):
+        exact_divide(x, x * y)
+    with pytest.raises(NotDivisible, match="division by zero series"):
+        exact_divide(x, c.zero())
+    assert exact_divide(c.zero(), x + y).is_zero
+    x5 = ctx2(5).var("x") ** 5
+    assert exact_divide(x5, x5) == 1
 
 
 def test_exact_divide_random_roundtrip():
