@@ -15,9 +15,11 @@ import random
 
 from .series import (
     CalculusError,
+    ContextMismatch,
     Series,
     elementary_symmetric,
 )
+from .fgl import KINDS, make_law
 from .reports import CheckItem, Report, difference_detail
 
 
@@ -31,7 +33,7 @@ class SplitBundle:
         ctx = roots[0].context
         for x in roots:
             if x.context != ctx:
-                raise CalculusError("incompatible contexts")
+                raise ContextMismatch("incompatible contexts")
             if x.constant_term != 0:
                 raise CalculusError("roots must have zero constant term")
         self.law = law
@@ -67,13 +69,11 @@ class SplitBundle:
 
     def twist_by_line(self, line: Series) -> "SplitBundle":
         """Tensor with the line whose first Chern class is `line`."""
-        if line.context != self.context:
-            raise CalculusError("incompatible contexts")
         return SplitBundle(self.law, [self.law.apply(x, line) for x in self.roots])
 
     def direct_sum(self, other: "SplitBundle") -> "SplitBundle":
         if other.context != self.context or other.law is not self.law:
-            raise CalculusError("incompatible contexts")
+            raise ContextMismatch("incompatible contexts")
         return SplitBundle(self.law, self.roots + other.roots)
 
     def pb_relation_poly(self, t: str) -> Series:
@@ -114,13 +114,10 @@ def whitney_check(truncation: int = 6, cases: int = 50, seed: int = 0) -> Report
     the variables and their inverses.  Seeded, so reruns are identical.
     """
     rng = random.Random(seed)
-    kinds = ("additive", "multiplicative", "universal")
-    from .fgl import make_law
-
-    laws = {k: make_law(k, truncation) for k in kinds}
+    laws = {k: make_law(k, truncation) for k in KINDS}
     items = []
     for case in range(cases):
-        kind = kinds[case % 3]
+        kind = KINDS[case % 3]
         law = laws[kind]
         nvars = rng.randint(1, 4)
         ctx = law.geometry_context([f"v{i}" for i in range(1, nvars + 1)])

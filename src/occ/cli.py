@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .bundles import SplitBundle, whitney_check
 from .exprs import MAX_DIGITS, ExprError, evaluate
-from .fgl import custom_law, make_law
+from .fgl import KINDS, custom_law, make_law
 from .projective import (
     ProjBundleRing,
     geometric_fgl_check,
@@ -35,7 +35,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-LAW_KINDS = ("additive", "multiplicative", "universal")
 SUITES = ("fgl-axioms", "whitney", "pbf", "cf", "grr", "fgl-theorem")
 
 # Size limits of the command line and of task files; a request above them
@@ -105,8 +104,8 @@ def _load_task(path):
 
 def _build_law(spec, truncation):
     if isinstance(spec, str):
-        if spec not in LAW_KINDS:
-            raise TaskError(f"unknown law {spec!r} (choose from {', '.join(LAW_KINDS)})")
+        if spec not in KINDS:
+            raise TaskError(f"unknown law {spec!r} (choose from {', '.join(KINDS)})")
         return make_law(spec, truncation)
     if isinstance(spec, dict) and isinstance(spec.get("coefficients"), dict):
         ctx = Context((Var("x", 1, True), Var("y", 1, True)), truncation)
@@ -305,7 +304,7 @@ def cmd_run(args) -> int:
 def build_suite(name, truncation) -> Report:
     """The named preset suites behind `check`; deterministic by construction."""
     if name == "fgl-axioms":
-        reps = [make_law(kind, truncation).check_axioms() for kind in LAW_KINDS]
+        reps = [make_law(kind, truncation).check_axioms() for kind in KINDS]
         return merge_reports(f"check fgl-axioms[N={truncation}]", reps)
     if name == "whitney":
         return whitney_check(truncation, cases=50, seed=0)
@@ -479,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cf)
 
     p = sub.add_parser("fglcheck", help="geometric formal-group-law identity")
-    p.add_argument("--law", choices=LAW_KINDS, default="universal")
+    p.add_argument("--law", choices=KINDS, default="universal")
     p.add_argument(
         "--trunc",
         type=trunc,
@@ -490,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fglcheck)
 
     p = sub.add_parser("tower", help="classes of the standard projective-line tower")
-    p.add_argument("--law", choices=LAW_KINDS, default="universal")
+    p.add_argument("--law", choices=KINDS, default="universal")
     p.add_argument("--depth", type=_int_in(0, MAX_DEPTH), required=True,
                    help=f"depth 0..{MAX_DEPTH}")
     p.add_argument("--trunc", type=trunc, default=6, help=trunc_help)
@@ -498,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tower)
 
     p = sub.add_parser("pbf", help="reduce or push forward a t-polynomial on P(E)")
-    p.add_argument("--law", choices=LAW_KINDS, default="additive")
+    p.add_argument("--law", choices=KINDS, default="additive")
     p.add_argument("--trunc", type=trunc, default=6, help=trunc_help)
     p.add_argument("--roots", required=True, help="comma-separated root expressions")
     p.add_argument("--element", required=True, help="a t-polynomial expression")

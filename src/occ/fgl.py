@@ -46,14 +46,18 @@ from .reports import CheckItem, Report, difference_detail
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
 UNIVERSAL = "universal"
+KINDS = (ADDITIVE, MULTIPLICATIVE, UNIVERSAL)
 
 
 class FormalGroupLaw:
     """A formal group law F(x, y) together with its ambient context.
 
-    A law is an immutable value.  Its lazy caches (`_log`, `_exp`,
-    `_inverse`, `_templates`) hold deterministic functions of the law, so a
-    built-in law, which `make_law` shares, shares them with every caller.
+    A law is an immutable value.  Its one lazy cache, the dict `_templates`,
+    holds deterministic functions of the law: its "log", "exp" and
+    "inverse", and the pushforward templates, [P(L + O)] and tower classes
+    of `occ.projective`.  So a built-in law, which `make_law` shares, shares
+    them with every caller.  `generators` are the coefficient generators,
+    the variables of the law's context other than x and y.
     """
 
     x = "x"
@@ -65,10 +69,8 @@ class FormalGroupLaw:
         # x + y - xy does not respect the grading; custom laws carry none
         self.graded = kind in (ADDITIVE, UNIVERSAL)
         self.context = F.context
-        self.coefficient_names = tuple(n for n in self.context.names if n not in ("x", "y"))
-        self._log = None
-        self._exp = None
-        self._inverse = None
+        self.generators = tuple(v for v in self.context.variables if v.name not in ("x", "y"))
+        self.coefficient_names = tuple(v.name for v in self.generators)
         self._templates = {}
 
     @property
@@ -82,8 +84,6 @@ class FormalGroupLaw:
 
     def apply(self, a: Series, b: Series) -> Series:
         """F(a, b) for two series over a common context containing the generators."""
-        if a.context != b.context:
-            raise CalculusError("incompatible contexts")
         return self.F.substitute({self.x: a, self.y: b}, into=a.context)
 
     def coefficient(self, i, j) -> Series:
@@ -107,8 +107,8 @@ class FormalGroupLaw:
         l'(x) = 1 / (dF/dy)(x, 0) by termwise integration, then verifies it
         against the defining identity; any failure is "no logarithm".
         """
-        if self._log is not None:
-            return self._log
+        if "log" in self._templates:
+            return self._templates["log"]
         ctx = self.context
         ix = ctx.index(self.x)
         xs, ys = ctx.var(self.x), ctx.var(self.y)
@@ -125,14 +125,14 @@ class FormalGroupLaw:
         lhs = ell.substitute({self.x: self.apply(xs, ys)}, into=ctx)
         if lhs != ell + ell.substitute({self.x: ys}, into=ctx):
             raise CalculusError("law has no logarithm at this truncation")
-        self._log = ell
+        self._templates["log"] = ell
         return ell
 
     def exp(self) -> Series:
         """The exponential e(x), the compositional inverse of the logarithm."""
-        if self._exp is None:
-            self._exp = _revert(self.log(), self.x)
-        return self._exp
+        if "exp" not in self._templates:
+            self._templates["exp"] = _revert(self.log(), self.x)
+        return self._templates["exp"]
 
     def formal_sum_n(self, n: int) -> Series:
         """The n-series [n](x) = exp(n log x), for any integer n."""
@@ -143,9 +143,9 @@ class FormalGroupLaw:
 
     def formal_inverse(self) -> Series:
         """The series i(x) = [-1](x) with F(x, i(x)) = 0, in the law's own context."""
-        if self._inverse is None:
-            self._inverse = self.formal_sum_n(-1)
-        return self._inverse
+        if "inverse" not in self._templates:
+            self._templates["inverse"] = self.formal_sum_n(-1)
+        return self._templates["inverse"]
 
     def inverse_at(self, s: Series) -> Series:
         return self.formal_inverse().substitute({self.x: s}, into=s.context)
@@ -163,7 +163,7 @@ class FormalGroupLaw:
         """
         if order == self.truncation:
             return self
-        if self.kind not in (ADDITIVE, MULTIPLICATIVE, UNIVERSAL):
+        if self.kind not in KINDS:
             raise CalculusError("cannot change the truncation of a custom law")
         return _built_in(self.kind, self.coefficient_names, order)
 
@@ -171,10 +171,7 @@ class FormalGroupLaw:
 
     def geometry_context(self, class_names) -> Context:
         """A context with degree-1 nilpotent class variables plus the generators."""
-        gens = tuple(
-            v for v in self.context.variables if v.name in self.coefficient_names
-        )
-        vs = tuple(Var(n, 1, True) for n in class_names) + gens
+        vs = tuple(Var(n, 1, True) for n in class_names) + self.generators
         return Context(vs, self.truncation)
 
     # -- axiom checks -----------------------------------------------------------
@@ -190,8 +187,7 @@ class FormalGroupLaw:
 
         zname = _fresh_name("z", ctx.names)
         ctx3 = Context(
-            (Var(self.x, 1, True), Var(self.y, 1, True), Var(zname, 1, True))
-            + tuple(v for v in ctx.variables if v.name in self.coefficient_names),
+            (Var(self.x, 1, True), Var(self.y, 1, True), Var(zname, 1, True)) + self.generators,
             ctx.truncation,
         )
         x3, y3, z3 = ctx3.var(self.x), ctx3.var(self.y), ctx3.var(zname)
@@ -206,15 +202,10 @@ class FormalGroupLaw:
             items.append(CheckItem(name, not detail, detail))
 
         if self.graded:
-            ok = self.F.is_homogeneous(1)
-            bad = ""
-            if not ok:
-                for m, _ in self.F.sorted_terms():
-                    d = ctx.degree_of(m)
-                    if d != 1:
-                        bad = f"term of degree {d}"
-                        break
-            items.append(CheckItem("homogeneity", ok, bad))
+            degrees = (ctx.degree_of(m) for m, _ in self.F.sorted_terms())
+            bad = next((d for d in degrees if d != 1), None)
+            detail = "" if bad is None else f"term of degree {bad}"
+            items.append(CheckItem("homogeneity", not detail, detail))
         else:
             items.append(CheckItem("homogeneity", True, "ungraded theory"))
 
@@ -244,7 +235,7 @@ def make_law(kind, truncation) -> FormalGroupLaw:
     The universal law at N has the generators m_1..m_(N-1); the additive and
     multiplicative laws have none.
     """
-    if kind not in (ADDITIVE, MULTIPLICATIVE, UNIVERSAL):
+    if kind not in KINDS:
         raise CalculusError(f"unknown law kind {kind!r}")
     if type(truncation) is not int or truncation < 1:  # before range() reads it
         raise CalculusError("truncation order must be a positive integer")
@@ -273,7 +264,7 @@ def _built_in(kind, gen_names, truncation) -> FormalGroupLaw:
         exp = _revert(log, "x")
         F = exp.substitute({"x": log + log.substitute({"x": ys})})
     law = FormalGroupLaw(F, kind)
-    law._log, law._exp = log, exp
+    law._templates.update(log=log, exp=exp)
     _SHARED[key] = law
     return law
 

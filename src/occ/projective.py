@@ -54,30 +54,31 @@ from .series import (
     log1p_of,
     sum_of_products,
 )
-from .bundles import SplitBundle
+from .bundles import SplitBundle, _random_root
+from .fgl import KINDS, make_law
 from .reports import CheckItem, Report, difference_detail
 
 
-def pushforward_template(law, N, r, k) -> Series:
-    """pi_!(t^k), k < r, on the P(E) of any rank-r bundle as a polynomial in c_i(E*).
+def pushforward_template(law, N, r) -> list:
+    """[pi_!(t^k) for k < r] on the P(E) of any rank-r bundle, as polynomials in c_i(E*).
 
-    The result lives over variables e1..er (e_i = c_i(E*), nilpotent of
+    Each image lives over variables e1..er (e_i = c_i(E*), nilpotent of
     weight i) and the law's generators at truncation N, and is exact there:
     U and w are exact one weight below the law's order, and the pushforward
-    lowers weight by r - 1, so they are expanded with the law at N + r.  All
-    k < r are built together and cached on that law.
+    lowers weight by r - 1, so they are expanded with the law at N + r.  The
+    images are built together and cached on that law; each call returns a
+    new list.
     """
     hi = law.at_truncation(N + r)
     key = ("pushforward", N, r)
     if key not in hi._templates:
         ctx = hi.context
         M = N + r - 1
-        gens = tuple(v for v in ctx.variables if v.name in hi.coefficient_names)
         evars = tuple(Var(f"e{i}", i, True) for i in range(1, r + 1))
         # t is the law's x, tau its y
         lw = ctx.with_truncation(M)
-        work = Context((Var(hi.x, 1, True),) + evars + gens, M)
-        tmpl = Context(evars + gens, N)
+        work = Context((Var(hi.x, 1, True),) + evars + hi.generators, M)
+        tmpl = Context(evars + hi.generators, N)
         x, y = ctx.var(hi.x), ctx.var(hi.y)
         log_u = log1p_of(exact_divide(hi.apply(x, hi.inverse_at(y)), x - y).to_context(lw) - 1)
         ls = log_u.split(hi.y, work, M + 1)
@@ -95,7 +96,7 @@ def pushforward_template(law, N, r, k) -> Series:
         _extend_by_relation([et[r - i] * (-1) ** i for i in range(r + 1)], hs, M)
         coeffs = A.split(hi.x, tmpl, M + 1)
         hi._templates[key] = [sum_of_products(tmpl, zip(coeffs, hs[j:])) for j in range(r)]
-    return hi._templates[key][k]
+    return list(hi._templates[key])
 
 
 class ProjBundleRing:
@@ -155,7 +156,7 @@ class ProjBundleRing:
             if r > 1:
                 # e_i = c_i(E*) = (-1)^(r-i) a_{r-i}
                 e = {f"e{i}": a[r - i] * (-1) ** (r - i) for i in range(1, r + 1)}
-                tks = [pushforward_template(self.law, parent.truncation, r, k) for k in range(r)]
+                tks = pushforward_template(self.law, parent.truncation, r)
                 self._images = [tk.substitute(e, into=parent) for tk in tks]
         return self._map_by_powers(p, parent, a, self._images)
 
@@ -183,10 +184,8 @@ def pb_relation_check(truncation: int = 6) -> Report:
     to zero in the quotient ring.  Both sides have weight r, so for r above
     the truncation they must both be zero and there is nothing to divide.
     """
-    from .fgl import make_law
-
     items = []
-    for kind in ("additive", "multiplicative", "universal"):
+    for kind in KINDS:
         law = make_law(kind, truncation)
         for r in (1, 2, 3):
             names = [f"u{i}" for i in range(1, r + 1)]
@@ -229,13 +228,10 @@ def projection_formula_check(truncation: int = 6, cases: int = 20, seed: int = 0
     at truncation N + rank - 1 and the two sides are compared on all terms of
     weight <= N, where they are exact.
     """
-    from .fgl import make_law
-    from .bundles import _random_root
-
     rng = random.Random(seed)
     items = []
     for case in range(cases):
-        kind = ("additive", "multiplicative", "universal")[case % 3]
+        kind = KINDS[case % 3]
         r = rng.randint(1, 3)
         law = make_law(kind, truncation + r - 1)
         nvars = rng.randint(1, 2)

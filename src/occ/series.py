@@ -380,10 +380,6 @@ class Series:
         w = self.context.weight
         return Series(self.context, {m: c for m, c in self.terms.items() if w(m) == k}, _trusted=True)
 
-    def is_homogeneous(self, degree):
-        d = self.context.degree_of
-        return all(d(m) == degree for m in self.terms)
-
     # -- ring operations -----------------------------------------------------
 
     def _check_ctx(self, other):
@@ -463,18 +459,11 @@ class Series:
         weight at least its degree, so that truncation commutes with the
         substitution.  Variables that are not mapped but occur in a term must
         exist in the target context with the same degree and nilpotency.  The
-        target context defaults to the context of the first series image, or
-        to this series' own context when the mapping is scalar-only.
+        target is `into`, or this series' own context when `into` is None;
+        a series image from any other context raises `ContextMismatch`.
         """
         ctx = self.context
-        target = into
-        if target is None:
-            for v in mapping.values():
-                if isinstance(v, Series):
-                    target = v.context
-                    break
-        if target is None:
-            target = ctx
+        target = ctx if into is None else into
         images = {}
         for name, val in mapping.items():
             i = ctx.index(name)
@@ -540,15 +529,9 @@ class Series:
         names = self.context.names
         pieces = []
         for m, c in self.sorted_terms():
-            factors = []
-            for name, e in zip(names, m):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            mono = "*".join(factors)
             mag = -c if c < 0 else c
-            if mono:
+            if any(m):
+                mono = _monomial_text(names, m)
                 body = mono if mag == 1 else f"{mag}*{mono}"
             else:
                 body = str(mag)
@@ -582,11 +565,13 @@ def first_difference(a, b):
         ca = a.terms.get(m, 0)
         cb = b.terms.get(m, 0)
         if ca != cb:
-            name = "*".join(
-                n if e == 1 else f"{n}^{e}" for n, e in zip(ctx.names, m) if e
-            ) or "1"
-            return (name, ca, cb)
+            return (_monomial_text(ctx.names, m), ca, cb)
     return None
+
+
+def _monomial_text(names, m):
+    """A monomial as printed: x*y^2, or 1 for the empty one."""
+    return "*".join([n if e == 1 else f"{n}^{e}" for n, e in zip(names, m) if e]) or "1"
 
 
 # -- units and exact division ------------------------------------------------
@@ -645,12 +630,14 @@ def invert_unit(a: Series) -> Series:
     return Series(ctx, y, _trusted=True)
 
 
-def _divide_homogeneous(num, den):
+def _divide_homogeneous(num, den, names):
     """Divide weight-homogeneous term dicts exactly; raise NotDivisible otherwise.
 
     Reduction by the lexicographically leading monomial of `den`; lex order on
     exponent tuples is multiplication-compatible and well-ordered, so the loop
-    terminates even when the division fails.
+    terminates even when the division fails.  The failure names the leading
+    monomial of the remainder that the leading monomial of `den` does not
+    divide; `names` spells both.
     """
     lm_d = max(den)
     lc_d = den[lm_d]
@@ -661,7 +648,10 @@ def _divide_homogeneous(num, den):
         lm_p = max(p)
         diff = tuple(a - b for a, b in zip(lm_p, lm_d))
         if any(e < 0 for e in diff):
-            raise NotDivisible("not divisible")
+            raise NotDivisible(
+                f"not divisible: remainder term {_monomial_text(names, lm_p)}"
+                f" is no multiple of {_monomial_text(names, lm_d)}"
+            )
         c = div_coeff(p[lm_p], lc_d)
         q[diff] = q.get(diff, 0) + c
         del p[lm_p]
@@ -683,7 +673,9 @@ def exact_divide(num: Series, den: Series) -> Series:
     each step an exact division by the divisor's lowest-weight component.
     So the divisor need not be a unit (e.g. dividing by a Vandermonde product
     or by a single nilpotent variable is fine as long as the division is
-    exact within the truncation order).
+    exact within the truncation order).  A failure names the weight k + d of
+    the step that failed, the truncation and the monomial left over, or the
+    two lowest weights when num starts below den.
     """
     num._check_ctx(den)
     ctx = num.context
@@ -692,18 +684,24 @@ def exact_divide(num: Series, den: Series) -> Series:
     if num.is_zero:
         return ctx.zero()
     nums, dens = _components(num), _components(den)
-    d = min(dens)
+    d, N = min(dens), ctx.truncation
     if min(nums) < d:
-        raise NotDivisible("not divisible")
+        raise NotDivisible(
+            f"not divisible: numerator of lowest weight {min(nums)}"
+            f" below divisor of lowest weight {d}"
+        )
     low = {m: c for _, m, c in dens.pop(d)}
     f = {w - d: [(w - d, m, -c) for _, m, c in items] for w, items in dens.items()}
 
     def finish(k, comp):
         for _, m, c in nums.get(k + d, ()):
             comp[m] = comp.get(m, 0) + c
-        return _divide_homogeneous(_clean(comp), low)
+        try:
+            return _divide_homogeneous(_clean(comp), low, ctx.names)
+        except NotDivisible as exc:
+            raise NotDivisible(f"{exc} (weight {k + d}, truncation {N})") from None
 
-    q = _solve_by_weight(f, finish(0, {}), ctx.truncation - d, finish)
+    q = _solve_by_weight(f, finish(0, {}), N - d, finish)
     return Series(ctx, q, _trusted=True)
 
 

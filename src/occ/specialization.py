@@ -239,11 +239,13 @@ def conner_floyd_check(truncation: int = 6, seed: int = 0) -> Report:
             )
 
     # The P^1 class (u + iota(u)) / (u iota(u)) is homogeneous of degree -1,
-    # so its weight-N coefficient involves the generators m_N and m_{N+1};
-    # the truncation-N universal law only carries m_1..m_{N-1}.  Compute the
-    # universal side with the larger law at N+2 (generators through m_{N+1}),
-    # then specialize into the weight-N multiplicative context.
-    law_hi = make_law("universal", N + 2)
+    # so its weight-N coefficient involves m_N and m_{N+1}, and the tower
+    # class [P_3] involves m_3; the truncation-N universal law carries only
+    # m_1..m_{N-1}.  One law raised to max(N + 2, depth + 1) computes the
+    # universal side of both, the tower reusing the [P(L + O)] class the P^1
+    # item caches on it, and is specialized into the weight-N contexts.
+    depth = 3
+    law_hi = make_law("universal", max(N + 2, depth + 1))
     sm_hi = SpecializationMap.to_multiplicative(law_hi)
     g_hi = law_hi.geometry_context(names)
     u_hi, u_m = g_hi.var("u1"), gm.var("u1")
@@ -262,18 +264,14 @@ def conner_floyd_check(truncation: int = 6, seed: int = 0) -> Report:
         )
     )
 
-    # [P_k] may involve m_k, which the universal law at N <= depth lacks
-    depth = 3
-    law_t = law_u if N > depth else make_law("universal", depth + 1)
-    sm_t = SpecializationMap.to_multiplicative(law_t)
-    tc_u = tower_classes(law_t, depth)
+    tc_u = tower_classes(law_hi, depth)
     tc_m = tower_classes(law_m, depth)
     point_m = law_m.geometry_context([])
     for i in range(depth + 1):
         items.append(
             _cmp(
                 f"tower-P{i}",
-                specialize(sm_t, tc_u[i], into=point_m),
+                specialize(sm_hi, tc_u[i], into=point_m),
                 tc_m[i],
             )
         )

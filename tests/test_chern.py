@@ -4,7 +4,7 @@ import pytest
 
 from occ.bundles import SplitBundle, whitney_check
 from occ.fgl import make_law
-from occ.series import CalculusError
+from occ.series import CalculusError, ContextMismatch
 
 
 def bundle(law, ctx, names):
@@ -148,6 +148,19 @@ def test_bundle_rejects_bad_roots():
         SplitBundle(law, [ctx.one()])
     with pytest.raises(CalculusError):
         SplitBundle(law, [])
+
+
+def test_bundles_reject_a_second_context():
+    law = make_law("universal", 4)
+    ctx, other = law.geometry_context(["a", "b"]), law.geometry_context(["c"])
+    a, b, c = ctx.var("a"), ctx.var("b"), other.var("c")
+    e = SplitBundle(law, [a, b])
+    with pytest.raises(ContextMismatch, match="incompatible contexts"):
+        SplitBundle(law, [a, c])
+    with pytest.raises(ContextMismatch, match="incompatible contexts"):
+        e.twist_by_line(c)
+    with pytest.raises(ContextMismatch, match="incompatible contexts"):
+        e.direct_sum(SplitBundle(law, [c]))
 
 
 def test_relation_poly_name_collision():

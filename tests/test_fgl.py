@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from occ.fgl import FormalGroupLaw, custom_law, make_law
-from occ.series import CalculusError
+from occ.series import CalculusError, ContextMismatch
 from occ.specialization import SpecializationMap, specialize
 
 
@@ -36,6 +36,14 @@ def test_axioms_catch_broken_law():
     names = {i.name: i.passed for i in rep.items}
     assert not names["unit"]
     assert not rep.passed
+
+
+def test_apply_rejects_a_second_context():
+    law = make_law("universal", 4)
+    a = law.geometry_context(["a"]).var("a")
+    b = law.geometry_context(["b"]).var("b")
+    with pytest.raises(ContextMismatch, match="incompatible contexts"):
+        law.apply(a, b)
 
 
 def test_inverse_all_laws():

@@ -1,14 +1,18 @@
 """Byte-identity guard for the cold pushforward template, the tower classes,
-pushforwards of elements with fractional coefficients and exact quotients.
+pushforwards of elements with fractional coefficients, exact quotients and
+the Conner-Floyd battery.
 
 The SHA-256 digests of the printed results were recorded before the template
 path was rewritten (graded exp/log, one-pass split, one product per
 substitution profile), for the fractional pushforwards before the product
-kernel cleared denominators, and for the quotients before exact division
-became a graded solve; every rewrite of these paths must reproduce them.
+kernel cleared denominators, for the quotients before exact division
+became a graded solve, and for the battery before it shared one raised
+universal law between its P^1 and tower items; every rewrite of these paths
+must reproduce them.
 """
 
 import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -17,6 +21,7 @@ from occ.bundles import SplitBundle
 from occ.fgl import make_law
 from occ.projective import ProjBundleRing, pushforward_template, tower_classes
 from occ.series import exact_divide
+from occ.specialization import conner_floyd_check
 
 
 def digest(series_list):
@@ -58,7 +63,7 @@ TEMPLATES = {
 @pytest.mark.parametrize("kind, r, N", sorted(TEMPLATES))
 def test_pushforward_template_digest(kind, r, N):
     law = make_law(kind, N)
-    got = digest(pushforward_template(law, N, r, k) for k in range(r))
+    got = digest(pushforward_template(law, N, r))
     assert got == TEMPLATES[kind, r, N]
 
 
@@ -101,3 +106,10 @@ def test_exact_quotients_digest():
             euler = up.dual().twist_by_line(law.inverse_at(ring.var("t"))).euler()
             out.append(exact_divide(euler, ring.relation))
     assert digest(out) == "573d6e0e0db0b1a0a7385c8ba6ebea095e014d45cd7bd8615a231e6837ed2dc5"
+
+
+def test_conner_floyd_battery_digest():
+    """The JSON report of the battery at N = 1..8 for seeds 0 and 3."""
+    reports = [conner_floyd_check(N, seed).to_json_obj() for seed in (0, 3) for N in range(1, 9)]
+    got = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert got == "37b4483dc8e949a2e1dd76aab330cc283b6c82471b5511a01e5d36ac249919fd"

@@ -168,15 +168,18 @@ def test_exact_divide_and_failure():
     assert (q - (1 + x * y - y**2)).is_zero
     with pytest.raises(NotDivisible, match="not divisible"):
         exact_divide(x * x + y, x + y)
-    # the remainder x^3 y has weight 4: exact below it, not divisible from it on
+    # the remainder x^3 y has weight 4: exact below it, not divisible from it
+    # on, where reducing x^3 y by x + y leaves -y^4
     for n in (3, 4, 5):
         xn, yn = ctx2(n).var("x"), ctx2(n).var("y")
         num = (xn + yn) * (1 + xn) + xn**3 * yn
         if n < 4:
             assert exact_divide(num, xn + yn) == 1 + xn
         else:
-            with pytest.raises(NotDivisible, match="not divisible"):
+            with pytest.raises(NotDivisible, match="not divisible") as exc:
                 exact_divide(num, xn + yn)
+            assert "weight 4" in str(exc.value) and "y^4" in str(exc.value)
+            assert f"truncation {n}" in str(exc.value)
     # a weight-0 generator in the divisor's lowest component
     g = Context((Var("x", 1, True), Var("y", 1, True), Var("m1", -1, False)), 4)
     gx, gy, m1 = g.var("x"), g.var("y"), g.var("m1")
@@ -184,8 +187,9 @@ def test_exact_divide_and_failure():
         exact_divide(m1 * gx, (1 + m1) * gx)
     assert exact_divide((1 + m1) * gx * (1 + gy), (1 + m1) * gx) == 1 + gy
     # the numerator starts below the divisor's lowest weight
-    with pytest.raises(NotDivisible, match="not divisible"):
+    with pytest.raises(NotDivisible, match="not divisible") as exc:
         exact_divide(x, x * y)
+    assert "weight 1" in str(exc.value) and "weight 2" in str(exc.value)
     with pytest.raises(NotDivisible, match="division by zero series"):
         exact_divide(x, c.zero())
     assert exact_divide(c.zero(), x + y).is_zero
@@ -264,6 +268,17 @@ def test_substitute_basics():
     assert (q - (1 + y * y + y * y)).is_zero
     with pytest.raises(SubstitutionError, match="non-nilpotent substitution"):
         p.substitute({"x": c.one()}, into=c)
+
+
+def test_substitute_lands_in_its_own_context():
+    # without `into` the result is in the series' own context, so an image
+    # from another context is a mismatch, not a change of target
+    u = Context((Var("u", 1, True),), 4).var("u")
+    v = Context((Var("v", 1, True),), 4).var("v")
+    assert u.substitute({"u": u * u}).context == u.context
+    with pytest.raises(ContextMismatch, match="incompatible contexts"):
+        u.substitute({"u": v})
+    assert u.substitute({"u": v}, into=v.context) == v
 
 
 def test_substitute_rejects_image_of_lower_weight():

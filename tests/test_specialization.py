@@ -229,8 +229,9 @@ def test_conner_floyd_battery():
     assert "tower-P3" in names
 
 
-@pytest.mark.parametrize("truncation", [2, 3])
+@pytest.mark.parametrize("truncation", [1, 2, 3])
 def test_conner_floyd_battery_below_tower_depth(truncation):
-    # the depth-3 tower needs m_3, which the universal law at N <= 3 lacks
+    # the depth-3 tower needs m_3, which the universal law at N <= 3 lacks;
+    # at N = 1 the raised law is at depth + 1 = 4, above N + 2 = 3
     rep = conner_floyd_check(truncation=truncation, seed=0)
     assert rep.passed, "\n".join(l for l in rep.lines() if l.startswith("FAIL"))
