@@ -72,8 +72,10 @@ class SplitBundle:
         return SplitBundle(self.law, [self.law.apply(x, line) for x in self.roots])
 
     def direct_sum(self, other: "SplitBundle") -> "SplitBundle":
-        if other.context != self.context or other.law is not self.law:
+        if other.context != self.context:
             raise ContextMismatch("incompatible contexts")
+        if other.law is not self.law:
+            raise CalculusError("direct sum of bundles over different laws")
         return SplitBundle(self.law, self.roots + other.roots)
 
     def pb_relation_poly(self, t: str) -> Series:

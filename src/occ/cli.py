@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from .bundles import SplitBundle, whitney_check
-from .exprs import MAX_DIGITS, ExprError, evaluate
+from .exprs import MAX_DIGITS, NAME, ExprError, evaluate
 from .fgl import KINDS, custom_law, make_law
 from .projective import (
     ProjBundleRing,
@@ -50,7 +50,6 @@ MAX_VARIABLES = 4  # the class variables of a task or of `pbf`
 # law coefficients, which stays below Python's 4300-digit limit for text.
 MAX_LAW_DIGITS = 100
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _RESERVED = {"F", "inv", "t"}
 # a custom-law coefficient is any Fraction text whose exponent has at most
 # three digits: Fraction builds 10**exponent before any size check
@@ -108,8 +107,7 @@ def _build_law(spec, truncation):
             raise TaskError(f"unknown law {spec!r} (choose from {', '.join(KINDS)})")
         return make_law(spec, truncation)
     if isinstance(spec, dict) and isinstance(spec.get("coefficients"), dict):
-        ctx = Context((Var("x", 1, True), Var("y", 1, True)), truncation)
-        f = ctx.zero()
+        terms = []
         for key, val in spec["coefficients"].items():
             try:
                 i, j = (int(part) for part in key.split(","))
@@ -122,8 +120,9 @@ def _build_law(spec, truncation):
                 raise TaskError(f"bad law coefficient exponents {key!r}")
             if max(abs(c.numerator), c.denominator) >= 10**MAX_LAW_DIGITS:
                 raise TaskError(f"law coefficient {key!r} has more than {MAX_LAW_DIGITS} digits")
-            f = f + ctx.var("x") ** i * ctx.var("y") ** j * c
-        return custom_law(f)
+            terms.append(((i, j), c))  # a list: two spellings of one key add up
+        ctx = Context((Var("x", 1, True), Var("y", 1, True)), truncation)
+        return custom_law(ctx.series(terms))
     raise TaskError('law must be a name or {"coefficients": {"i,j": "p/q", ...}}')
 
 
@@ -150,7 +149,7 @@ def _validate_task(task):
     if not isinstance(variables, list):
         raise TaskError("variables must be a list of distinct names")
     for v in variables:
-        if not isinstance(v, str) or not _IDENT.match(v) or v in _RESERVED:
+        if not isinstance(v, str) or not NAME.fullmatch(v) or v in _RESERVED:
             raise TaskError(f"bad variable name {v!r}")
     if len(set(variables)) != len(variables):
         raise TaskError("variables must be a list of distinct names")
@@ -160,7 +159,7 @@ def _validate_task(task):
     if not isinstance(bundles, dict):
         raise TaskError("bundles must map names to root lists")
     for name, roots in bundles.items():
-        if not _IDENT.match(name or ""):
+        if not NAME.fullmatch(name):
             raise TaskError(f"bad bundle name {name!r}")
         if not isinstance(roots, list) or not roots or not all(isinstance(r, str) for r in roots):
             raise TaskError(f"bundle {name!r} must list root expressions")
@@ -247,7 +246,7 @@ def _run_task(task):
     truncation, variables, bundle_decls, actions, output = _validate_task(task)
     law = _build_law(task.get("law", "additive"), truncation)
     for v in variables:
-        if v in law.coefficient_names:
+        if any(g.name == v for g in law.generators):
             raise TaskError(f"variable {v!r} is a coefficient of the {law.kind} law")
     ctx = law.geometry_context(variables)
     env = {v: ctx.var(v) for v in variables}
@@ -390,7 +389,7 @@ def _split_csv(text):
 def cmd_pbf(args) -> int:
     """A one-action task: reduce or push forward `--element` on P(E), E = `--roots`."""
     names = _split_csv(args.vars) if args.vars else list(dict.fromkeys(
-        tok for tok in re.findall(r"[A-Za-z_][A-Za-z0-9_]*", args.roots + " " + args.element)
+        tok for tok in NAME.findall(args.roots + " " + args.element)
         if tok not in _RESERVED
     ))
     task = {
@@ -456,25 +455,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=SUITES)
     p.add_argument("--trunc", type=trunc, default=6,
                    help=trunc_help + "; grr runs at fixed orders and ignores it")
-    p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("grr", help="Riemann-Roch check on P^(r-1) for O(k)")
     p.add_argument("r", type=_int_in(2, MAX_RANK), help=f"rank 2..{MAX_RANK}")
     p.add_argument("k", type=_digits_int, help=f"at most {MAX_DIGITS} digits")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_grr)
 
     p = sub.add_parser("chi", help="K-theory Euler characteristic vs the binomial oracle")
     p.add_argument("r", type=_int_in(1, MAX_RANK), help=f"rank 1..{MAX_RANK}")
     p.add_argument("k", type=_digits_int, help=f"at most {MAX_DIGITS} digits")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_chi)
 
     p = sub.add_parser("cf", help="Conner-Floyd specialization battery")
     p.add_argument("--trunc", type=trunc, default=6, help=trunc_help)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_cf)
 
     p = sub.add_parser("fglcheck", help="geometric formal-group-law identity")
@@ -485,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"truncation order 1..{MAX_TRUNCATION} (default 5 for universal, 6 otherwise)",
     )
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_fglcheck)
 
     p = sub.add_parser("tower", help="classes of the standard projective-line tower")
@@ -493,7 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=_int_in(0, MAX_DEPTH), required=True,
                    help=f"depth 0..{MAX_DEPTH}")
     p.add_argument("--trunc", type=trunc, default=6, help=trunc_help)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_tower)
 
     p = sub.add_parser("pbf", help="reduce or push forward a t-polynomial on P(E)")
@@ -503,9 +496,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--element", required=True, help="a t-polynomial expression")
     p.add_argument("--action", choices=("reduce", "pushforward"), required=True)
     p.add_argument("--vars", default="", help="declare class variables (default: inferred)")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_pbf)
 
+    # every command but `run`; last, as usage lines (also those of usage errors) show it
+    for name, p in sub.choices.items():
+        if name != "run":
+            p.add_argument("--json", action="store_true", help="emit JSON")
     return parser
 
 

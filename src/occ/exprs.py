@@ -35,7 +35,8 @@ class ExprError(CalculusError):
         self.pos = pos
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([()+\-*/^,]))")
+NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # a name of an expression, task or command line
+_TOKEN = re.compile(rf"\s*(?:(\d+)|({NAME.pattern})|([()+\-*/^,]))")
 
 
 def _tokenize(text):
@@ -64,7 +65,6 @@ def _tokenize(text):
 
 class _Parser:
     def __init__(self, text, env, law, context):
-        self.text = text
         self.tokens = _tokenize(text)
         self.k = 0
         self.depth = 0

@@ -57,7 +57,8 @@ class FormalGroupLaw:
     "inverse", and the pushforward templates, [P(L + O)] and tower classes
     of `occ.projective`.  So a built-in law, which `make_law` shares, shares
     them with every caller.  `generators` are the coefficient generators,
-    the variables of the law's context other than x and y.
+    the `Var`s of the law's context other than x and y, and the one record
+    of them: a universal law's m_i is `Var("m<i>", -i, False)`.
     """
 
     x = "x"
@@ -66,11 +67,8 @@ class FormalGroupLaw:
     def __init__(self, F: Series, kind="custom"):
         self.F = F
         self.kind = kind
-        # x + y - xy does not respect the grading; custom laws carry none
-        self.graded = kind in (ADDITIVE, UNIVERSAL)
         self.context = F.context
         self.generators = tuple(v for v in self.context.variables if v.name not in ("x", "y"))
-        self.coefficient_names = tuple(v.name for v in self.generators)
         self._templates = {}
 
     @property
@@ -165,7 +163,7 @@ class FormalGroupLaw:
             return self
         if self.kind not in KINDS:
             raise CalculusError("cannot change the truncation of a custom law")
-        return _built_in(self.kind, self.coefficient_names, order)
+        return _built_in(self.kind, self.generators, order)
 
     # -- derived contexts ------------------------------------------------------
 
@@ -201,7 +199,8 @@ class FormalGroupLaw:
             detail = difference_detail(got, expected)
             items.append(CheckItem(name, not detail, detail))
 
-        if self.graded:
+        # x + y - xy does not respect the grading; custom laws carry none
+        if self.kind in (ADDITIVE, UNIVERSAL):
             degrees = (ctx.degree_of(m) for m, _ in self.F.sorted_terms())
             bad = next((d for d in degrees if d != 1), None)
             detail = "" if bad is None else f"term of degree {bad}"
@@ -239,21 +238,21 @@ def make_law(kind, truncation) -> FormalGroupLaw:
         raise CalculusError(f"unknown law kind {kind!r}")
     if type(truncation) is not int or truncation < 1:  # before range() reads it
         raise CalculusError("truncation order must be a positive integer")
-    gen_names = tuple(f"m{i}" for i in range(1, truncation)) if kind == UNIVERSAL else ()
-    return _built_in(kind, gen_names, truncation)
+    gens = (tuple(Var(f"m{i}", -i, False) for i in range(1, truncation))
+            if kind == UNIVERSAL else ())
+    return _built_in(kind, gens, truncation)
 
 
-def _built_in(kind, gen_names, truncation) -> FormalGroupLaw:
-    """The built-in law `kind` over the given generators, shared per arguments.
+def _built_in(kind, gens, truncation) -> FormalGroupLaw:
+    """The built-in law `kind` over the generator `Var`s `gens`, shared per arguments.
 
-    The universal law is exp(log x + log y) for log(x) = x + sum m_i x^(i+1);
-    the other two are set in closed form.
+    The universal law is exp(log x + log y) for log(x) = x + sum m_i x^(i+1),
+    where m_i has degree -i; the other two are set in closed form.
     """
-    key = (kind, gen_names, truncation)
+    key = (kind, gens, truncation)
     if type(truncation) is int and key in _SHARED:
         return _SHARED[key]
-    gens = [Var(n, -int(n[1:]), False) for n in gen_names]
-    ctx = Context([Var("x", 1, True), Var("y", 1, True)] + gens, truncation)
+    ctx = Context((Var("x", 1, True), Var("y", 1, True)) + gens, truncation)
     xs, ys = ctx.var("x"), ctx.var("y")
     if kind == ADDITIVE:
         F, log, exp = xs + ys, xs, xs
@@ -273,14 +272,14 @@ def _revert(f: Series, x) -> Series:
     """The compositional inverse g of f(x) = x + ..., so that f(g(x)) = x.
 
     Solved weight by weight: once g is right below weight w, the weight-w
-    part of f(g(x)) - x is exactly the correction that g still needs there.
+    part of f(g(x)) - x is exactly the correction that g still needs there,
+    so g is exact through the truncation.  Both callers pass a logarithm of
+    weight-1 part x: `_built_in` sets it, `FormalGroupLaw.log` checks it.
     """
     xs = f.context.var(x)
     g = xs
     for w in range(2, f.context.truncation + 1):
         g = g - (f.substitute({x: g}) - xs).weight_component(w)
-    if f.substitute({x: g}) != xs:
-        raise CalculusError("series has no compositional inverse at this truncation")
     return g
 
 

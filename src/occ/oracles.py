@@ -68,7 +68,7 @@ def log_coordinate_pushforward(law, roots, k, ctx):
     rebuilt with the law raised four orders above ctx's truncation.  The
     result is cut back to ctx.
     """
-    names = [n for n in ctx.names if n not in law.coefficient_names]
+    names = [v.name for v in ctx.variables if v not in law.generators]
     hi = law.at_truncation(ctx.truncation + 4)
     work = hi.geometry_context(names + ["s"])
     class_vars = [work.var(n) for n in names]

@@ -58,11 +58,11 @@ class SpecializationMap:
 
     @staticmethod
     def to_additive(law: FormalGroupLaw) -> "SpecializationMap":
-        return SpecializationMap({n: Fraction(0) for n in law.coefficient_names})
+        return SpecializationMap({v.name: Fraction(0) for v in law.generators})
 
     @staticmethod
     def to_multiplicative(law: FormalGroupLaw) -> "SpecializationMap":
-        return SpecializationMap({n: Fraction(1, int(n[1:]) + 1) for n in law.coefficient_names})
+        return SpecializationMap({v.name: Fraction(1, 1 - v.degree) for v in law.generators})
 
 
 def specialize(sm: SpecializationMap, p: Series, into: Context | None = None) -> Series:

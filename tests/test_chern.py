@@ -3,7 +3,7 @@ import random
 import pytest
 
 from occ.bundles import SplitBundle, whitney_check
-from occ.fgl import make_law
+from occ.fgl import custom_law, make_law
 from occ.series import CalculusError, ContextMismatch
 
 
@@ -161,6 +161,17 @@ def test_bundles_reject_a_second_context():
         e.twist_by_line(c)
     with pytest.raises(ContextMismatch, match="incompatible contexts"):
         e.direct_sum(SplitBundle(law, [c]))
+
+
+def test_direct_sum_over_two_laws_names_the_laws():
+    # two custom_law calls on one series make two laws over one context
+    F = make_law("multiplicative", 4).F
+    first, second = custom_law(F), custom_law(F)
+    ctx = first.geometry_context(["a", "b"])
+    e, f = bundle(first, ctx, ["a"]), bundle(second, ctx, ["b"])
+    with pytest.raises(CalculusError, match="direct sum of bundles over different laws") as info:
+        e.direct_sum(f)
+    assert not isinstance(info.value, ContextMismatch)
 
 
 def test_relation_poly_name_collision():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from occ.fgl import FormalGroupLaw, custom_law, make_law
-from occ.series import CalculusError, ContextMismatch
+from occ.series import CalculusError, ContextMismatch, Var
 from occ.specialization import SpecializationMap, specialize
 
 
@@ -95,6 +95,17 @@ def test_n_series_is_a_ring_map(kind, N):
         for n in range(-3, 4):
             assert law.sum_n_at(m, sums[n]) == sums[m * n], (m, n)
             assert law.apply(sums[m], sums[n]) == sums[m + n], (m, n)
+
+
+@pytest.mark.parametrize("N", range(1, 9))
+@pytest.mark.parametrize("kind", LAWS)
+def test_custom_law_finds_the_built_in_log_and_exp(kind, N):
+    """The integrated logarithm and its reversion need no check after the fact."""
+    law = make_law(kind, N)
+    custom = custom_law(law.F)
+    assert custom.log() == law.log()
+    assert custom.exp() == law.exp()
+    assert custom.log().substitute({"x": custom.exp()}) == law.context.var("x")
 
 
 @pytest.mark.parametrize("N", range(2, 7))
@@ -272,7 +283,8 @@ def test_at_truncation_restricts_consistently():
 def test_at_truncation_universal_keeps_generators():
     law = make_law("universal", 4)
     wide = law.at_truncation(8)
-    assert set(law.coefficient_names) == set(wide.coefficient_names)
+    assert law.generators == wide.generators
+    assert law.generators == tuple(Var(f"m{i}", -i, False) for i in (1, 2, 3))
 
 
 def test_at_truncation_custom_law_fails():

@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from occ.bundles import SplitBundle
 from occ.fgl import make_law
@@ -19,11 +19,13 @@ from occ.series import (
     Series,
     Var,
     compose_coeffs,
+    elementary_symmetric,
     exact_divide,
     exp_of,
     invert_unit,
     log1p_of,
     sum_of_products,
+    symmetric_reduce,
 )
 from occ.specialization import SpecializationMap, specialize, twist_class
 
@@ -303,3 +305,24 @@ def test_substitute_equals_the_product_of_powers(data):
             term = term * (mapping[name] if name in mapping else ctx.var(name)) ** e
         want = want + term
     assert p.substitute(mapping, into=ctx) == want
+
+
+@PROPERTY
+@given(st.data())
+def test_symmetric_reduce_recovers_a_polynomial_in_the_targets(data):
+    """P(e_1..e_r, a) cut below its weight, written in the roots, reduces back to P."""
+    r = data.draw(st.integers(1, 3))
+    roots = [f"x{i}" for i in range(1, r + 1)]
+    targets = [f"e{k}" for k in range(1, r + 1)]
+    extra = data.draw(st.sampled_from([Var("a", 1, True), Var("m1", -1, False)]))
+    full = Context([Var(n, 1, True) for n in roots]
+                   + [Var(n, k, True) for k, n in enumerate(targets, 1)] + [extra], 30)
+    monos = st.tuples(*[st.just(0)] * r, *[st.integers(0, 2)] * (r + 1))
+    P = full.series(data.draw(st.dictionaries(monos, COEFFS.filter(bool), min_size=1, max_size=5)))
+    top = max(map(full.weight, P.terms))
+    assume(top >= 2)
+    ctx = full.with_truncation(data.draw(st.integers(1, top - 1)))
+    P = P.to_context(ctx)
+    es = elementary_symmetric([ctx.var(n) for n in roots], None)
+    p = P.substitute({n: es[k] for k, n in enumerate(targets, 1)})
+    assert symmetric_reduce(p, roots, targets) == P
