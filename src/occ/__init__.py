@@ -26,7 +26,6 @@ from .series import (
     NotAUnit,
     NotDivisible,
     NotSymmetric,
-    ReductionFailed,
     Series,
     SubstitutionError,
     Var,
@@ -85,7 +84,6 @@ __all__ = [
     "NotDivisible",
     "NotSymmetric",
     "ProjBundleRing",
-    "ReductionFailed",
     "Report",
     "Series",
     "SpecializationMap",

@@ -41,7 +41,7 @@ from .series import (
     log1p_of,
     sum_of_products,
 )
-from .reports import CheckItem, Report, difference_detail
+from .reports import CheckItem, Report, agreement
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
@@ -196,8 +196,7 @@ class FormalGroupLaw:
             ("commutativity", self.F, swapped),
             ("associativity", left, right),
         ):
-            detail = difference_detail(got, expected)
-            items.append(CheckItem(name, not detail, detail))
+            items.append(agreement(name, got, expected))
 
         # x + y - xy does not respect the grading; custom laws carry none
         if self.kind in (ADDITIVE, UNIVERSAL):

@@ -65,11 +65,12 @@ def log_coordinate_pushforward(law, roots, k, ctx):
     pi_!(t^k) = sum_d [s^d](exp(s)^k prod_j Td(s - sigma_j)) h_{d-r+1}(sigma).
     `ctx` is a geometry context of `law`; each root is a function of the
     law and the class variables of `ctx`, in order, so that it can be
-    rebuilt with the law raised four orders above ctx's truncation.  The
-    result is cut back to ctx.
+    rebuilt with the law raised one order per root above ctx's truncation
+    (the sum lowers weight by r - 1 for r roots).  The result is cut back
+    to ctx.
     """
     names = [v.name for v in ctx.variables if v not in law.generators]
-    hi = law.at_truncation(ctx.truncation + 4)
+    hi = law.at_truncation(ctx.truncation + len(roots))
     work = hi.geometry_context(names + ["s"])
     class_vars = [work.var(n) for n in names]
     s = work.var("s")

@@ -56,7 +56,7 @@ from .series import (
 )
 from .bundles import SplitBundle, _random_root
 from .fgl import KINDS, make_law
-from .reports import CheckItem, Report, difference_detail
+from .reports import CheckItem, Report, agreement
 
 
 def pushforward_template(law, N, r) -> list:
@@ -208,8 +208,7 @@ def pb_relation_check(truncation: int = 6) -> Report:
                     ok, detail = False, str(exc)
             items.append(CheckItem(f"pbf[{tag}] euler = relation * unit", ok, detail))
             if kind == "additive":
-                detail = difference_detail(euler, ring.relation)
-                items.append(CheckItem(f"pbf[{tag}] literal expansion", not detail, detail))
+                items.append(agreement(f"pbf[{tag}] literal expansion", euler, ring.relation))
             items.append(
                 CheckItem(f"pbf[{tag}] reduce(euler) = 0", ring.reduce(euler).is_zero)
             )
@@ -245,9 +244,8 @@ def projection_formula_check(truncation: int = 6, cases: int = 20, seed: int = 0
         lhs = ring.pushforward(ring.lift(a) * b)
         rhs = a * ring.pushforward(b)
         cut = ctx.with_truncation(truncation)
-        detail = difference_detail(lhs.to_context(cut), rhs.to_context(cut))
         name = f"case {case}: {kind}, rank {r}, {nvars} base vars"
-        items.append(CheckItem(name, not detail, detail))
+        items.append(agreement(name, lhs.to_context(cut), rhs.to_context(cut)))
     return Report(f"projection-formula[N={truncation},cases={cases}]", tuple(items))
 
 
@@ -345,11 +343,10 @@ def geometric_fgl_check(law) -> Report:
 
     lhs = F12 * (1 + u1 * u2 * (p2 - p3))
     rhs = u1 + u2 - u1 * u2 * p1
-    detail = difference_detail(lhs, rhs)
     return Report(
         f"geometric-fgl[{law.kind}, N={ctx.truncation}]",
         (
-            CheckItem("geometric-fgl-identity", not detail, detail),
+            agreement("geometric-fgl-identity", lhs, rhs),
             CheckItem("p1-class", True, f"[P1] = {p1}"),
             CheckItem("p2-class", True, f"[P2] = {p2}"),
             CheckItem("p3-class", True, f"[P3] = {p3}"),

@@ -67,7 +67,9 @@ def merge_reports(title, reports) -> Report:
     return Report(title, tuple(items))
 
 
-def difference_detail(a, b) -> str:
-    """The empty string when the series agree, else their first differing term."""
-    d = first_difference(a, b)
-    return "" if d is None else f"first difference at {d[0]}: {d[1]} != {d[2]}"
+def agreement(name, got, expected) -> CheckItem:
+    """An item that passes when the series agree, else names their first differing term."""
+    d = first_difference(got, expected)
+    if d is None:
+        return CheckItem(name, True)
+    return CheckItem(name, False, f"first difference at {d[0]}: {d[1]} != {d[2]}")

@@ -56,10 +56,6 @@ class SubstitutionError(CalculusError):
     pass
 
 
-class ReductionFailed(CalculusError):
-    pass
-
-
 class Var(NamedTuple):
     name: str
     degree: int

@@ -27,7 +27,7 @@ The binomial Euler characteristic and the closed form of [P(L + O)] that
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
 
@@ -44,7 +44,7 @@ from .fgl import ADDITIVE, MULTIPLICATIVE, FormalGroupLaw, make_law
 from .bundles import SplitBundle
 from .projective import ProjBundleRing, class_of_proj_line, tower_classes
 from .oracles import k_chi_oracle, pushforward_p1_formula
-from .reports import CheckItem, Report, difference_detail
+from .reports import CheckItem, Report, agreement
 
 
 # -- specialization maps -----------------------------------------------------------
@@ -168,28 +168,13 @@ def grr_check(r: int, k: int) -> Report:
     lhs = ring.pushforward(ch_ok * td_rel).constant_term
     chi = k_euler_characteristic(r, k)
 
-    items = (
-        CheckItem(
-            f"grr-additive[r={r},k={k}]",
-            lhs == oracle,
-            f"pushforward {lhs}, oracle {oracle}",
-            str(oracle),
-            str(lhs),
-        ),
-        CheckItem(
-            f"grr-ktheory[r={r},k={k}]",
-            chi == oracle,
-            f"chi {chi}, oracle {oracle}",
-            str(oracle),
-            str(chi),
-        ),
-        CheckItem(
-            f"grr-match[r={r},k={k}]",
-            lhs == chi,
-            f"additive {lhs}, K-theory {chi}",
-            str(lhs),
-            str(chi),
-        ),
+    items = tuple(
+        CheckItem(f"grr-{name}[r={r},k={k}]", expected == actual, detail, str(expected), str(actual))
+        for name, expected, actual, detail in (
+            ("additive", oracle, lhs, f"pushforward {lhs}, oracle {oracle}"),
+            ("ktheory", oracle, chi, f"chi {chi}, oracle {oracle}"),
+            ("match", lhs, chi, f"additive {lhs}, K-theory {chi}"),
+        )
     )
     return Report(f"grr[r={r}, k={k}]", items)
 
@@ -205,83 +190,51 @@ def conner_floyd_check(truncation: int = 6, seed: int = 0) -> Report:
     N = truncation
     law_u = make_law("universal", N)
     law_m = make_law(MULTIPLICATIVE, N)
-    sm = SpecializationMap.to_multiplicative(law_u)
-    items = []
+    # The P^1 class (u + iota(u)) / (u iota(u)) is homogeneous of degree -1,
+    # so its weight-N coefficient involves m_N and m_{N+1}, and the tower
+    # class [P_3] involves m_3; the truncation-N universal law carries only
+    # m_1..m_{N-1}.  One law raised to max(N + 2, depth + 1) computes the
+    # universal side of both, the tower reusing the [P(L + O)] class the P^1
+    # item caches on it.  Its map also specializes the truncation-N law:
+    # `specialize` maps only the generators present in a context.  The law,
+    # inverse and Chern items stay on that cheaper law.
+    depth = 3
+    law_hi = make_law("universal", max(N + 2, depth + 1))
+    sm = SpecializationMap.to_multiplicative(law_hi)
 
-    items.append(
-        _cmp("law", specialize(sm, law_u.F, into=law_m.context), law_m.F)
-    )
-    items.append(
-        _cmp(
-            "formal-inverse",
-            specialize(sm, law_u.formal_inverse(), into=law_m.context),
-            law_m.formal_inverse(),
-        )
-    )
+    def compare(name, universal, multiplicative):
+        got = specialize(sm, universal, into=multiplicative.context)
+        item = agreement(name, got, multiplicative)
+        return replace(item, expected=str(multiplicative), actual=str(got))
+
+    items = [
+        compare("law", law_u.F, law_m.F),
+        compare("formal-inverse", law_u.formal_inverse(), law_m.formal_inverse()),
+    ]
 
     names = ("u1", "u2")
-    gu = law_u.geometry_context(names)
     gm = law_m.geometry_context(names)
     rng = random.Random(seed)
-    pool_u = _root_pool(law_u, gu)
+    pool_u = _root_pool(law_u, law_u.geometry_context(names))
     pool_m = _root_pool(law_m, gm)
     for case in range(3):
         idx = [rng.randrange(len(pool_u)) for _ in range(rng.randint(1, 3))]
         bu = SplitBundle(law_u, [pool_u[i] for i in idx])
         bm = SplitBundle(law_m, [pool_m[i] for i in idx])
         for k in range(1, bu.rank + 1):
-            items.append(
-                _cmp(
-                    f"chern-c{k}-case{case}",
-                    specialize(sm, bu.chern(k), into=gm),
-                    bm.chern(k),
-                )
-            )
+            items.append(compare(f"chern-c{k}-case{case}", bu.chern(k), bm.chern(k)))
 
-    # The P^1 class (u + iota(u)) / (u iota(u)) is homogeneous of degree -1,
-    # so its weight-N coefficient involves m_N and m_{N+1}, and the tower
-    # class [P_3] involves m_3; the truncation-N universal law carries only
-    # m_1..m_{N-1}.  One law raised to max(N + 2, depth + 1) computes the
-    # universal side of both, the tower reusing the [P(L + O)] class the P^1
-    # item caches on it, and is specialized into the weight-N contexts.
-    depth = 3
-    law_hi = make_law("universal", max(N + 2, depth + 1))
-    sm_hi = SpecializationMap.to_multiplicative(law_hi)
-    g_hi = law_hi.geometry_context(names)
-    u_hi, u_m = g_hi.var("u1"), gm.var("u1")
+    u_hi, u_m = law_hi.geometry_context(names).var("u1"), gm.var("u1")
     items.append(
-        _cmp(
-            "p1-pushforward",
-            specialize(sm_hi, class_of_proj_line(law_hi, u_hi), into=gm),
-            class_of_proj_line(law_m, u_m),
-        )
+        compare("p1-pushforward", class_of_proj_line(law_hi, u_hi), class_of_proj_line(law_m, u_m))
     )
     items.append(
-        _cmp(
-            "p1-formula",
-            specialize(sm_hi, pushforward_p1_formula(law_hi, u_hi), into=gm),
-            pushforward_p1_formula(law_m, u_m),
-        )
+        compare("p1-formula", pushforward_p1_formula(law_hi, u_hi), pushforward_p1_formula(law_m, u_m))
     )
-
-    tc_u = tower_classes(law_hi, depth)
-    tc_m = tower_classes(law_m, depth)
-    point_m = law_m.geometry_context([])
-    for i in range(depth + 1):
-        items.append(
-            _cmp(
-                f"tower-P{i}",
-                specialize(sm_hi, tc_u[i], into=point_m),
-                tc_m[i],
-            )
-        )
+    towers = zip(tower_classes(law_hi, depth), tower_classes(law_m, depth))
+    items.extend(compare(f"tower-P{i}", tu, tm) for i, (tu, tm) in enumerate(towers))
 
     return Report(f"conner-floyd[N={N}]", tuple(items))
-
-
-def _cmp(name, got, expected):
-    detail = difference_detail(got, expected)
-    return CheckItem(name, not detail, detail, str(expected), str(got))
 
 
 def _root_pool(law, ctx):

@@ -6,9 +6,10 @@ The SHA-256 digests of the printed results were recorded before the template
 path was rewritten (graded exp/log, one-pass split, one product per
 substitution profile), for the fractional pushforwards before the product
 kernel cleared denominators, for the quotients before exact division
-became a graded solve, and for the battery before it shared one raised
-universal law between its P^1 and tower items; every rewrite of these paths
-must reproduce them.
+became a graded solve, for the battery before it shared one raised
+universal law between its P^1 and tower items, and for the check reports
+before their items were built by one comparison rule; every rewrite of
+these paths must reproduce them.
 """
 
 import hashlib
@@ -18,10 +19,16 @@ from fractions import Fraction
 import pytest
 
 from occ.bundles import SplitBundle
+from occ.cli import SUITES, build_suite
 from occ.fgl import make_law
-from occ.projective import ProjBundleRing, pushforward_template, tower_classes
+from occ.projective import (
+    ProjBundleRing,
+    projection_formula_check,
+    pushforward_template,
+    tower_classes,
+)
 from occ.series import exact_divide
-from occ.specialization import conner_floyd_check
+from occ.specialization import conner_floyd_check, grr_check
 
 
 def digest(series_list):
@@ -113,3 +120,15 @@ def test_conner_floyd_battery_digest():
     reports = [conner_floyd_check(N, seed).to_json_obj() for seed in (0, 3) for N in range(1, 9)]
     got = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
     assert got == "37b4483dc8e949a2e1dd76aab330cc283b6c82471b5511a01e5d36ac249919fd"
+
+
+def test_check_reports_digest():
+    """Text and JSON of every `occ check` suite at N = 1..6, of grr_check for
+    r = 2..4 and k = -3..5, and of the projection-formula battery at N = 3..5
+    for seeds 0 and 1."""
+    reports = [build_suite(s, N) for s in SUITES for N in range(1, 7)]
+    reports += [grr_check(r, k) for r in range(2, 5) for k in range(-3, 6)]
+    reports += [projection_formula_check(N, 20, seed) for N in range(3, 6) for seed in (0, 1)]
+    blob = json.dumps([[rep.lines(), rep.to_json_obj()] for rep in reports], sort_keys=True)
+    got = hashlib.sha256(blob.encode()).hexdigest()
+    assert got == "127a92b7300c0966b9b5b261677c2aaa803bf8025f6b3fca58524f9f13816cb3"

@@ -467,6 +467,29 @@ def test_sequence_extend_error_paths():
         sequence_extend([u, u, -ctx.one()], [ctx.one()], 8)
 
 
+# roots of the log-coordinate oracle: functions of the law and the classes u, v
+
+
+def root_iota_u(lw, u, v):
+    return lw.inverse_at(u)
+
+
+def root_f_uv(lw, u, v):
+    return lw.apply(u, v)
+
+
+def root_zero(lw, u, v):
+    return u.context.zero()
+
+
+def root_u(lw, u, v):
+    return u
+
+
+def root_v(lw, u, v):
+    return v
+
+
 @pytest.mark.parametrize("kind", ["additive", "multiplicative", "universal"])
 def test_pushforward_matches_log_coordinate_formula(kind):
     # an independent pushforward: it shares only log, exp, invert_unit and
@@ -474,28 +497,35 @@ def test_pushforward_matches_log_coordinate_formula(kind):
     N = 5
     law = make_law(kind, N)
     ctx = law.geometry_context(["u", "v"])
-    def iota_u(lw, u, v):
-        return lw.inverse_at(u)
-
-    def f_uv(lw, u, v):
-        return lw.apply(u, v)
-
-    def zero(lw, u, v):
-        return u.context.zero()
-
-    def first(lw, u, v):
-        return u
-
-    def second(lw, u, v):
-        return v
-
-    shapes = ([iota_u], [first, zero], [second, f_uv], [first, first, zero], [first, second, f_uv])
+    shapes = (
+        [root_iota_u],
+        [root_u, root_zero],
+        [root_v, root_f_uv],
+        [root_u, root_u, root_zero],
+        [root_u, root_v, root_f_uv],
+    )
     u, v = ctx.var("u"), ctx.var("v")
     for roots in shapes:
         ring = ProjBundleRing(SplitBundle(law, [root(law, u, v) for root in roots]), "t")
         for k in range(ring.rank + 2):
             want = log_coordinate_pushforward(law, roots, k, ctx)
             assert ring.pushforward(ring.var("t") ** k) == want, (kind, ring.bundle, k)
+
+
+@pytest.mark.parametrize("kind, N, r", [("multiplicative", 3, 5), ("multiplicative", 2, 6), ("universal", 2, 5)])
+def test_log_coordinate_oracle_above_rank_four(kind, N, r):
+    # the oracle raises its law by r, as the template does: with a fixed
+    # margin of four orders it disagreed with the ring from rank 5 on (at
+    # multiplicative N = 3, roots [u, F(u,v), v, v, v], pi_!(1) came out
+    # 1 - u^3/2520 instead of chi(O) = 1)
+    law = make_law(kind, N)
+    ctx = law.geometry_context(["u", "v"])
+    roots = [root_u, root_f_uv] + [root_v] * (r - 2)
+    u, v = ctx.var("u"), ctx.var("v")
+    ring = ProjBundleRing(SplitBundle(law, [root(law, u, v) for root in roots]), "t")
+    for k in range(N + 1):
+        want = log_coordinate_pushforward(law, roots, k, ctx)
+        assert ring.pushforward(ring.var("t") ** k) == want, k
 
 
 # -- construction errors ------------------------------------------------------------
