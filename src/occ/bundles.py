@@ -55,10 +55,10 @@ class SplitBundle:
         return elementary_symmetric(self.roots, k, one=self.context.one())
 
     def total_chern(self) -> Series:
-        es = elementary_symmetric(self.roots, None, one=self.context.one())
-        total = self.context.zero()
-        for e in es:
-            total = total + e
+        """c(E) = prod_i (1 + x_i) over the roots."""
+        total = 1 + self.roots[0]
+        for x in self.roots[1:]:
+            total = total * (1 + x)
         return total
 
     def euler(self) -> Series:

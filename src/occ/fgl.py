@@ -24,8 +24,8 @@ shared, immutable values: one builder makes one law per (kind, generators,
 truncation) for the life of the process, so `make_law` and a universal law
 raised or lowered by `at_truncation` (which keeps its generators) share it.
 What a law computes lazily (logarithm, exponential, inverse, pushforward
-templates, tower classes) depends on the law alone, so every caller shares
-it.  Custom laws are built afresh on every call.
+templates, the class of P(L + O)) depends on the law alone, so every caller
+shares it.  Custom laws are built afresh on every call.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ class FormalGroupLaw:
 
     A law is an immutable value.  Its one lazy cache, the dict `_templates`,
     holds deterministic functions of the law: its "log", "exp" and
-    "inverse", and the pushforward templates, [P(L + O)] and tower classes
-    of `occ.projective`.  So a built-in law, which `make_law` shares, shares
+    "inverse", and the pushforward templates and the class [P(L + O)] of
+    `occ.projective`.  So a built-in law, which `make_law` shares, shares
     them with every caller.  `generators` are the coefficient generators,
     the `Var`s of the law's context other than x and y, and the one record
     of them: a universal law's m_i is `Var("m<i>", -i, False)`.
@@ -225,6 +225,8 @@ def _fresh_name(base, taken):
 # (True == 1, yet a law at truncation True must raise as its Context does)
 # and written only once its law is built, so bad input is never cached.
 _SHARED = {}
+# The universal law's generator `Var`s per valid truncation, built once.
+_GENERATORS = {}
 
 
 def make_law(kind, truncation) -> FormalGroupLaw:
@@ -237,8 +239,11 @@ def make_law(kind, truncation) -> FormalGroupLaw:
         raise CalculusError(f"unknown law kind {kind!r}")
     if type(truncation) is not int or truncation < 1:  # before range() reads it
         raise CalculusError("truncation order must be a positive integer")
-    gens = (tuple(Var(f"m{i}", -i, False) for i in range(1, truncation))
-            if kind == UNIVERSAL else ())
+    gens = ()
+    if kind == UNIVERSAL:
+        gens = _GENERATORS.get(truncation)
+        if gens is None:
+            gens = _GENERATORS[truncation] = tuple(Var(f"m{i}", -i, False) for i in range(1, truncation))
     return _built_in(kind, gens, truncation)
 
 

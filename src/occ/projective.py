@@ -278,23 +278,20 @@ def tower_classes(law, depth) -> list:
 
     The tower-ratio identity gives [P_0] = 1, [P_{n+1}] = sum_{i<=n} G_i
     [P_{n-i}] for G(u) = sum_i G_i u^i = [P(L + O)]; G_i, i < depth, needs
-    the law at max(N, depth - 1) (canonical laws only above N).  The
-    classes are cached on the law; each call returns a new list.  A
-    depth that is not a non-negative integer raises.
+    the law at max(N, depth - 1) (canonical laws only above N).  Only
+    that class is cached, on the law it is computed at; each call builds
+    a new list.  A depth that is not a non-negative integer raises.
     """
     if not isinstance(depth, int) or depth < 0:
         raise CalculusError("tower depth must be a non-negative integer")
-    key = ("tower", depth)
-    if key not in law._templates:
-        ctx = law.geometry_context([])
-        out = [ctx.one()]
-        if depth:
-            G = _line_class(law.at_truncation(max(law.truncation, depth - 1)))
-            g = G.split("u", ctx, depth)
-            for _ in range(depth):
-                out.append(sum_of_products(ctx, zip(g, reversed(out))))
-        law._templates[key] = out
-    return list(law._templates[key])
+    ctx = law.geometry_context([])
+    out = [ctx.one()]
+    if depth:
+        G = _line_class(law.at_truncation(max(law.truncation, depth - 1)))
+        g = G.split("u", ctx, depth)
+        for _ in range(depth):
+            out.append(sum_of_products(ctx, zip(g, reversed(out))))
+    return out
 
 
 def class_of_proj_line(law, u: Series) -> Series:

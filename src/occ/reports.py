@@ -1,19 +1,20 @@
-"""Small pass/fail report objects shared by the checking entry points."""
+"""Small pass/fail report objects shared by the checking entry points.
+
+`CheckItem` and `Report`, like `occ.specialization.SpecializationMap`, are
+immutable named tuples: they are iterable and indexable, equal to a plain
+tuple of the same values, and assigning an attribute raises
+`AttributeError`.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .series import first_difference
 
 
-@dataclass(frozen=True)
-class CheckItem:
-    name: str
-    passed: bool
-    detail: str = ""
-    expected: str = ""
-    actual: str = ""
+class CheckItem(namedtuple("CheckItem", "name passed detail expected actual", defaults=("", "", ""))):
+    __slots__ = ()
 
     def line(self):
         status = "PASS" if self.passed else "FAIL"
@@ -30,10 +31,8 @@ class CheckItem:
         }
 
 
-@dataclass(frozen=True)
-class Report:
-    title: str
-    items: tuple = field(default_factory=tuple)
+class Report(namedtuple("Report", "title items", defaults=((),))):
+    __slots__ = ()
 
     @property
     def passed(self):

@@ -25,10 +25,10 @@ once.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from operator import add, itemgetter, mul
-from typing import Iterable, NamedTuple
 
 _is_int = int.__instancecheck__  # bool never occurs: coefficients are int or Fraction
 
@@ -56,10 +56,7 @@ class SubstitutionError(CalculusError):
     pass
 
 
-class Var(NamedTuple):
-    name: str
-    degree: int
-    nilpotent: bool = True
+Var = namedtuple("Var", "name degree nilpotent", defaults=(True,))
 
 
 def _coerce_coeff(c):
@@ -555,6 +552,8 @@ def first_difference(a, b):
     Returns (monomial string, coefficient of a, coefficient of b).
     """
     a._check_ctx(b)
+    if a.terms == b.terms:
+        return None
     ctx = a.context
     monos = set(a.terms) | set(b.terms)
     for m in sorted(monos, key=lambda m: _term_key(ctx, m)):

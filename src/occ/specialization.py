@@ -27,7 +27,7 @@ The binomial Euler characteristic and the closed form of [P(L + O)] that
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
@@ -50,11 +50,10 @@ from .reports import CheckItem, Report, agreement
 # -- specialization maps -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpecializationMap:
+class SpecializationMap(namedtuple("SpecializationMap", "assignment")):
     """An assignment of rational values to the universal coefficient generators."""
 
-    assignment: dict
+    __slots__ = ()
 
     @staticmethod
     def to_additive(law: FormalGroupLaw) -> "SpecializationMap":
@@ -205,7 +204,7 @@ def conner_floyd_check(truncation: int = 6, seed: int = 0) -> Report:
     def compare(name, universal, multiplicative):
         got = specialize(sm, universal, into=multiplicative.context)
         item = agreement(name, got, multiplicative)
-        return replace(item, expected=str(multiplicative), actual=str(got))
+        return item._replace(expected=str(multiplicative), actual=str(got))
 
     items = [
         compare("law", law_u.F, law_m.F),

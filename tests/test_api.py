@@ -4,7 +4,13 @@ A name added to or removed from the package's surface changes this list,
 so the change is made on purpose, with its reason in CHANGES.md.
 """
 
+import subprocess
+import sys
+from pathlib import Path
+
 import occ
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 PUBLIC = [
     "ADDITIVE",
@@ -61,3 +67,13 @@ def test_public_names_are_pinned():
     assert len(PUBLIC) == 47
     assert occ.__all__ == PUBLIC
     assert all(hasattr(occ, name) for name in PUBLIC)
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    # these three cost about as much to import as occ itself
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); import occ, occ.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
