@@ -14,9 +14,7 @@ from occ import (
     k_euler_characteristic,
     make_law,
     todd_factor,
-    todd_prime_at_dual,
     twist_class,
-    twisted_c1,
 )
 
 print("== chi(P^(r-1), O(k)) by pushforward vs binomial(k+r-1, r-1) ==")
@@ -38,14 +36,15 @@ for r in (2, 3):
         status = "OK " if rep.passed else "FAIL"
         print(f"{status} r={r} k={k}: both sides = {rep.items[0].actual}")
 
-print("\n== the two Todd normalizations invert through the twisted c1 ==")
+print("\n== the Todd class inverts through the multiplicative law's exp and log ==")
 ctx = law_m.geometry_context(["u", "v"])
 u, v = ctx.var("u"), ctx.var("v")
+e_m = lambda s: law_m.exp().substitute({"x": s}, into=ctx)
+l_m = lambda s: law_m.log().substitute({"x": s}, into=ctx)
 print("Td(u)                          =", todd_factor(u))
-print("Td'(c1^t(-u)) * Td(u)          =", todd_prime_at_dual(twisted_c1("t", -u)) * todd_factor(u))
-print("c1^t'(F(u,v)) - c1^t'(u) - c1^t'(v) =",
-      twisted_c1("t-prime", law_m.apply(u, v))
-      - twisted_c1("t-prime", u) - twisted_c1("t-prime", v))
+print("Td(u) * e_m(u) + u             =", todd_factor(u) * e_m(u) + u)
+print("Td(l_m(v)) * v + l_m(v)        =", todd_factor(l_m(v)) * v + l_m(v))
+print("l_m(F(u,v)) - l_m(u) - l_m(v)  =", l_m(law_m.apply(u, v)) - l_m(u) - l_m(v))
 
 print("\n== universal-to-multiplicative consistency battery ==")
 rep = conner_floyd_check(truncation=5, seed=0)

@@ -10,8 +10,8 @@ The package provides, over exact rational arithmetic:
 * projective-bundle quotient rings, towers and residue-formula Gysin
   pushforwards (`occ.projective`),
 * K-theory and additive specializations: Chern characters, Todd classes,
-  twisted first Chern classes, Euler-characteristic and Riemann-Roch style
-  cross-checks (`occ.specialization`),
+  Euler-characteristic and Riemann-Roch style cross-checks
+  (`occ.specialization`),
 * independent oracles for those checks: the binomial Euler characteristic,
   the closed form of [P(L + O)] and the pushforward in the logarithmic
   coordinate, which import only the series kernel and the laws
@@ -66,9 +66,7 @@ from .specialization import (
     specialize,
     todd,
     todd_factor,
-    todd_prime_at_dual,
     twist_class,
-    twisted_c1,
 )
 from .reports import CheckItem, Report
 
@@ -115,9 +113,7 @@ __all__ = [
     "symmetric_reduce",
     "todd",
     "todd_factor",
-    "todd_prime_at_dual",
     "tower_classes",
     "twist_class",
-    "twisted_c1",
     "whitney_check",
 ]

@@ -185,6 +185,8 @@ def _validate_task(task):
                 raise TaskError(
                     f"action {idx} ({op}): field {fieldname!r} has more than {MAX_DIGITS} digits"
                 )
+        if op == "chern" and act["k"] < 0:
+            raise TaskError(f"action {idx} (chern): Chern index must be non-negative")
         if "bundle" in _ACTION_FIELDS[op] and act["bundle"] not in bundles:
             raise TaskError(f"action {idx} ({op}): unknown bundle {act['bundle']!r}")
     output = task.get("output", "text")

@@ -804,18 +804,18 @@ def symmetric_reduce(p: Series, roots, targets) -> Series:
 # -- univariate composition helpers -------------------------------------------
 
 
-def compose_coeffs(coeff_fn, s: Series, start=0) -> Series:
-    """Sum coeff_fn(k) * s**k over start <= k <= N, one substitution of s into z.
+def compose_coeffs(coeff_fn, s: Series) -> Series:
+    """Sum coeff_fn(k) * s**k over 0 <= k <= N, one substitution of s into z.
 
     The polynomial sum_k coeff_fn(k) z^k is built over a one-variable
     context at s's truncation N.  `s` must be nilpotent (every term of
     weight at least 1), so that s**k vanishes for k above N.  `exp_of` and
-    `log1p_of` solve weight by weight instead; the callers left are
-    `todd_factor` and `todd_prime_at_dual`.
+    `log1p_of` solve weight by weight instead; the one caller left is
+    `todd_factor`.
     """
     N = s.context.truncation
     z = Context([Var("z", 1, True)], N)
-    f = z.series({(k,): coeff_fn(k) for k in range(start, N + 1)})
+    f = z.series({(k,): coeff_fn(k) for k in range(N + 1)})
     return f.substitute({"z": s}, into=s.context)
 
 

@@ -15,9 +15,7 @@ line is c_1 / (exp(-c_1) - 1).  Note the sign convention: with this reading
 the Todd class of the trivial line is the constant -1, and Todd classes are
 (-1)^rank times the classical ones; the Euler-characteristic bookkeeping in
 `grr_check` divides by the Todd class of the trivial summand, so the signs
-cancel out of the Riemann-Roch comparison.  The twisted first Chern classes
-1 - exp(u) and log(1 - u) and the primed Todd class c_1(L*)/log(1 - c_1(L*))
-invert the two Todd conventions against each other.
+cancel out of the Riemann-Roch comparison.
 
 The binomial Euler characteristic and the closed form of [P(L + O)] that
 `grr_check` and `conner_floyd_check` compare against come from
@@ -38,7 +36,6 @@ from .series import (
     compose_coeffs,
     exp_of,
     invert_unit,
-    log1p_of,
 )
 from .fgl import ADDITIVE, MULTIPLICATIVE, FormalGroupLaw, make_law
 from .bundles import SplitBundle
@@ -115,22 +112,6 @@ def todd(E: SplitBundle) -> Series:
     return acc
 
 
-def todd_prime_at_dual(v: Series) -> Series:
-    """v / log(1 - v) where v is the first Chern class of the dual line."""
-    # log(1-v)/v = -(1 + v/2 + v^2/3 + ...); invert and flip the sign
-    w = compose_coeffs(lambda k: Fraction(-1, k + 1), v)
-    return invert_unit(w)
-
-
-def twisted_c1(mode, u: Series) -> Series:
-    """The twisted first Chern classes: "t" is 1 - exp(u), "t-prime" is log(1-u)."""
-    if mode == "t":
-        return 1 - exp_of(u)
-    if mode == "t-prime":
-        return log1p_of(-u)
-    raise CalculusError(f"unknown twist mode {mode!r}")
-
-
 # -- Euler characteristics and Riemann-Roch ---------------------------------------------
 
 
@@ -160,7 +141,7 @@ def grr_check(r: int, k: int) -> Report:
     trivial = SplitBundle(law, [ctx.zero()] * r)
     ring = ProjBundleRing(trivial, "t")
     t = ring.context.var("t")
-    ch_ok = exp_of(-law.sum_n_at(k, t))  # ch_a of O(k): exp(-[k](t))
+    ch_ok = ch_a(SplitBundle(law, [law.sum_n_at(k, t)]))  # ch_a of O(k)
     up = SplitBundle(law, [ring.context.zero()] * r)
     rel = up.dual().twist_by_line(law.inverse_at(t))  # E*(-1) upstairs
     td_rel = todd(rel) * (-1)  # divide by todd(O) = -1

@@ -55,16 +55,14 @@ PUBLIC = [
     "symmetric_reduce",
     "todd",
     "todd_factor",
-    "todd_prime_at_dual",
     "tower_classes",
     "twist_class",
-    "twisted_c1",
     "whitney_check",
 ]
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 47
+    assert len(PUBLIC) == 45
     assert occ.__all__ == PUBLIC
     assert all(hasattr(occ, name) for name in PUBLIC)
 

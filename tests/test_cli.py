@@ -221,6 +221,7 @@ def test_run_missing_file(capsys):
         ({"law": {"coefficients": {"1,1": "1e999"}}}, "more than 100 digits"),
         ({"law": {"coefficients": {"1,1": "1e-101"}}}, "more than 100 digits"),
         ({"variables": [f"v{i}" for i in range(MAX_VARIABLES + 1)]}, "variables, more than"),
+        ({"actions": [{"op": "chern", "bundle": "E", "k": -1}]}, "Chern index must be non-negative"),
     ],
 )
 def test_run_validation_failures(tmp_path, capsys, mutation, message):

@@ -213,7 +213,7 @@ def exp_by_powers(s):
 
 def log1p_by_powers(s):
     """log(1 + s) as sum_k (-1)^(k-1) s^k / k, one full product per power: the oracle."""
-    return compose_coeffs(lambda k: Fraction((-1) ** (k - 1), k), s, start=1)
+    return compose_coeffs(lambda k: Fraction((-1) ** (k - 1), k) if k else 0, s)
 
 
 @PROPERTY

@@ -9,6 +9,7 @@ from occ.series import (
     CalculusError,
     exp_of,
     first_difference,
+    log1p_of,
 )
 from occ.oracles import k_chi_oracle
 from occ.specialization import (
@@ -21,9 +22,7 @@ from occ.specialization import (
     specialize,
     todd,
     todd_factor,
-    todd_prime_at_dual,
     twist_class,
-    twisted_c1,
 )
 
 
@@ -137,35 +136,30 @@ def test_todd_multiplicative_on_sums():
 
 
 def test_todd_twist_identities_at_n8():
+    # the twisted first Chern classes are the multiplicative law's exp e_m
+    # and log l_m with signs, so the law states them and both Todd inversions
     N = 8
     law_m = make_law("multiplicative", N)
     ctx = law_m.geometry_context(["u", "v"])
     u, v = ctx.var("u"), ctx.var("v")
 
-    # Td' evaluated at the twisted class c1^t(-u) inverts Td
-    lhs = todd_prime_at_dual(twisted_c1("t", -u)) * todd_factor(u)
-    assert (lhs - 1).is_zero
+    def e_m(s):
+        return law_m.exp().substitute({"x": s}, into=ctx)
 
-    # Td evaluated at the twisted class c1^t'(iota(v)) inverts Td'
-    lhs = todd_factor(twisted_c1("t-prime", law_m.inverse_at(v))) * todd_prime_at_dual(v)
-    assert (lhs - 1).is_zero
+    def l_m(s):
+        return law_m.log().substitute({"x": s}, into=ctx)
 
-    # c1^t turns sums into the multiplicative law
-    lhs = twisted_c1("t", u + v)
-    rhs = law_m.apply(twisted_c1("t", u), twisted_c1("t", v))
-    assert (lhs - rhs).is_zero
+    # c1^t(u) = 1 - exp(u) is e_m(-u); c1^t'(u) = log(1 - u) is -l_m(u)
+    assert 1 - exp_of(u) == e_m(-u)
+    assert log1p_of(-u) == -l_m(u)
 
-    # c1^t' turns the multiplicative law into sums
-    lhs = twisted_c1("t-prime", law_m.apply(u, v))
-    rhs = twisted_c1("t-prime", u) + twisted_c1("t-prime", v)
-    assert (lhs - rhs).is_zero
+    # e_m turns sums into the multiplicative law, l_m turns it back into sums
+    assert e_m(u + v) == law_m.apply(e_m(u), e_m(v))
+    assert l_m(law_m.apply(u, v)) == l_m(u) + l_m(v)
 
-
-def test_twisted_c1_rejects_unknown_mode():
-    law = make_law("additive", 5)
-    u = law.geometry_context(["u"]).var("u")
-    with pytest.raises(CalculusError, match="unknown twist mode"):
-        twisted_c1("t-double-prime", u)
+    # Td(u) = u/(exp(-u) - 1) is -u/e_m(u), and Td(l_m(v)) is -l_m(v)/v
+    assert todd_factor(u) * e_m(u) == -u
+    assert todd_factor(l_m(v)) * v == -l_m(v)
 
 
 # -- Euler characteristics -------------------------------------------------------------
