@@ -52,10 +52,11 @@ from .projective import (
     geometric_fgl_check,
     pb_relation_check,
     projection_formula_check,
+    pushforward_p1_formula,
     sequence_extend,
     tower_classes,
 )
-from .oracles import k_chi_oracle, pushforward_p1_formula
+from .oracles import k_chi_oracle
 from .specialization import (
     SpecializationMap,
     ch_a,

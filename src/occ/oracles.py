@@ -4,8 +4,6 @@ Each function here computes by a route of its own what the library
 computes by the residue template of `occ.projective`:
 
 * `k_chi_oracle`: chi(P^(r-1), O(k)) as the binomial polynomial in k;
-* `pushforward_p1_formula`: [P(L + O)] in closed form from the law's
-  coefficients;
 * `log_coordinate_pushforward`: pi_!(t^k) on any split P(E) by
   Riemann-Roch in the logarithmic coordinate (Quillen, 1971), with the
   complete symmetric functions `h_polys`.
@@ -20,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .series import CalculusError, Series, exact_divide, invert_unit, sum_of_products
+from .series import CalculusError, invert_unit, sum_of_products
 
 
 def k_chi_oracle(r: int, k: int) -> Fraction:
@@ -34,19 +32,6 @@ def k_chi_oracle(r: int, k: int) -> Fraction:
     for j in range(1, r):
         num *= k + j
     return Fraction(num, factorial(r - 1))
-
-
-def pushforward_p1_formula(law, u: Series) -> Series:
-    """pi_!(1) on P(L + O) in closed form: -(F(x, y) - x - y)/(x y) at x = u, y = iota(u).
-
-    That is -sum_{i,j>=1} b_ij e(L)^(i-1) e(L*)^(j-1) over the law
-    coefficients b_ij.  The sum needs them up to total order N + 2 to be
-    exact at truncation N, so the law is re-expanded that far.
-    """
-    law2 = law.at_truncation(u.context.truncation + 2)
-    x, y = law2.context.var(law2.x), law2.context.var(law2.y)
-    b = exact_divide(law2.F - x - y, x * y)
-    return -b.substitute({law2.x: u, law2.y: law.inverse_at(u)}, into=u.context)
 
 
 def h_polys(values, n, ctx):

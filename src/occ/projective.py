@@ -15,9 +15,11 @@ relation's recursion (`ProjBundleRing._map_by_powers`).  Each sum of
 products here (f, sum_k p_k image_k, the recursions, the template's sums) is
 one `series.sum_of_products`.
 
-The standard tower's point classes follow from the one class of P(L + O)
-by a recursion (`tower_classes`); the independent closed forms and
-pushforwards that check them live in `occ.oracles`.
+The class of P(L + O) is read off the law's coefficients, with no ring
+(`class_of_proj_line`, also public as `pushforward_p1_formula`), and the
+standard tower's point classes follow from it by a recursion
+(`tower_classes`); the residue pushforward of 1 on P(L + O) checks it, and
+`occ.oracles` checks the residue formula.
 
 `pushforward` implements the Gysin map along P(E) -> X by Quillen's residue
 formula pi_!(p) = Res_t p(t) w(t) / prod_j F(t, x_j), w = 1 / F_y(t, 0).
@@ -265,11 +267,19 @@ def _random_element(rng, ctx, names, max_terms=4, max_pow=2):
 
 
 def _line_class(law) -> Series:
-    """[P(L + O)] over `law.geometry_context(["u"])`, exact through N; cached."""
+    """[P(L + O)] = -b(u, iota(u)) over `law.geometry_context(["u"])`, exact through N; cached.
+
+    b(x, y) = (F(x, y) - x - y)/(xy) through weight N needs F through N + 2.
+    A law that can be raised is built in, with x, y first and F(x, 0) = x,
+    F(0, y) = y, so b is F at N + 2 with its exponents of x and y shifted.
+    """
     if "line" not in law._templates:
+        hi = law.at_truncation(law.truncation + 2)
+        minus_b = {(i - 1, j - 1, *m): -c for (i, j, *m), c in hi.F.terms.items() if i and j}
         ctx = law.geometry_context(["u"])
-        ring = ProjBundleRing(SplitBundle(law, [ctx.var("u"), ctx.zero()]), "t")
-        law._templates["line"] = ring.pushforward(ring.context.one())
+        u = ctx.var("u")
+        G = Series(hi.context, minus_b, _trusted=True)
+        law._templates["line"] = G.substitute({hi.x: u, hi.y: law.inverse_at(u)}, into=ctx)
     return law._templates["line"]
 
 
@@ -277,10 +287,10 @@ def tower_classes(law, depth) -> list:
     """[P_0], ..., [P_depth] for the standard tower over a point.
 
     The tower-ratio identity gives [P_0] = 1, [P_{n+1}] = sum_{i<=n} G_i
-    [P_{n-i}] for G(u) = sum_i G_i u^i = [P(L + O)]; G_i, i < depth, needs
-    the law at max(N, depth - 1) (canonical laws only above N).  Only
-    that class is cached, on the law it is computed at; each call builds
-    a new list.  A depth that is not a non-negative integer raises.
+    [P_{n-i}] for G(u) = sum_i G_i u^i = [P(L + O)] (`_line_class`); G_i,
+    i < depth, needs the law at max(N, depth - 1) (canonical laws only above
+    N).  Only that class is cached, on the law it is computed at; each call
+    builds a new list.  A depth that is not a non-negative integer raises.
     """
     if not isinstance(depth, int) or depth < 0:
         raise CalculusError("tower depth must be a non-negative integer")
@@ -300,6 +310,10 @@ def class_of_proj_line(law, u: Series) -> Series:
     return G.substitute({"u": u}, into=u.context)
 
 
+# the public name of the closed form, which the residue pushforward of 1 checks
+pushforward_p1_formula = class_of_proj_line
+
+
 # -- the geometric law identity ---------------------------------------------------
 
 
@@ -307,9 +321,10 @@ def geometric_fgl_check(law) -> Report:
     """Verify F(u1,u2) * (1 + u1 u2 ([P2]-[P3])) = u1 + u2 - u1 u2 [P1].
 
     P1 = P(L1+O) and P2 = P(L2 + L1 L2 + O); P3 = P(O(-1)+O) over
-    P(L2 + L1 L2).  [P1] and the fibre class of P3 are the law's one class
-    of P(L + O) (`class_of_proj_line`), [P2] and P3's base are residue
-    pushforwards of 1.
+    P(L2 + L1 L2).  The fibre class of P3 is the law's closed form of
+    [P(L + O)] (`class_of_proj_line`); [P1], [P2] and P3's base are residue
+    pushforwards of 1, so the closed form is checked against the residue
+    route.
     The identity holds only with [P1] and the base of [P3] on
     complementary lines (pairing both with L1 breaks it at weight 4, first
     at the u1^3 u2 coefficient, universal law) and with P2 on the lines of
@@ -322,7 +337,8 @@ def geometric_fgl_check(law) -> Report:
     F12 = law.apply(u1, u2)
     zero = ctx.zero()
 
-    p1 = class_of_proj_line(law, u1)
+    ring1 = ProjBundleRing(SplitBundle(law, [u1, zero]), "s1")
+    p1 = ring1.pushforward(ring1.context.one())
 
     ring2 = ProjBundleRing(SplitBundle(law, [u2, F12, zero]), "s1")
     p2 = ring2.pushforward(ring2.context.one())

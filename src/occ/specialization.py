@@ -17,9 +17,8 @@ the Todd class of the trivial line is the constant -1, and Todd classes are
 `grr_check` divides by the Todd class of the trivial summand, so the signs
 cancel out of the Riemann-Roch comparison.
 
-The binomial Euler characteristic and the closed form of [P(L + O)] that
-`grr_check` and `conner_floyd_check` compare against come from
-`occ.oracles`.
+The binomial Euler characteristic that `grr_check` compares against comes
+from `occ.oracles`.
 """
 
 from __future__ import annotations
@@ -39,8 +38,8 @@ from .series import (
 )
 from .fgl import ADDITIVE, MULTIPLICATIVE, FormalGroupLaw, make_law
 from .bundles import SplitBundle
-from .projective import ProjBundleRing, class_of_proj_line, tower_classes
-from .oracles import k_chi_oracle, pushforward_p1_formula
+from .projective import ProjBundleRing, pushforward_p1_formula, tower_classes
+from .oracles import k_chi_oracle
 from .reports import CheckItem, Report, agreement
 
 
@@ -174,10 +173,11 @@ def conner_floyd_check(truncation: int = 6, seed: int = 0) -> Report:
     # so its weight-N coefficient involves m_N and m_{N+1}, and the tower
     # class [P_3] involves m_3; the truncation-N universal law carries only
     # m_1..m_{N-1}.  One law raised to max(N + 2, depth + 1) computes the
-    # universal side of both, the tower reusing the [P(L + O)] class the P^1
-    # item caches on it.  Its map also specializes the truncation-N law:
-    # `specialize` maps only the generators present in a context.  The law,
-    # inverse and Chern items stay on that cheaper law.
+    # universal side of both, the tower reusing the [P(L + O)] class the
+    # p1-formula item caches on it; p1-pushforward takes the residue route.
+    # Its map also specializes the truncation-N law: `specialize` maps only
+    # the generators present in a context.  The law, inverse and Chern items
+    # stay on that cheaper law.
     depth = 3
     law_hi = make_law("universal", max(N + 2, depth + 1))
     sm = SpecializationMap.to_multiplicative(law_hi)
@@ -204,13 +204,10 @@ def conner_floyd_check(truncation: int = 6, seed: int = 0) -> Report:
         for k in range(1, bu.rank + 1):
             items.append(compare(f"chern-c{k}-case{case}", bu.chern(k), bm.chern(k)))
 
-    u_hi, u_m = law_hi.geometry_context(names).var("u1"), gm.var("u1")
-    items.append(
-        compare("p1-pushforward", class_of_proj_line(law_hi, u_hi), class_of_proj_line(law_m, u_m))
-    )
-    items.append(
-        compare("p1-formula", pushforward_p1_formula(law_hi, u_hi), pushforward_p1_formula(law_m, u_m))
-    )
+    lines = ((law_hi, law_hi.geometry_context(names).var("u1")), (law_m, gm.var("u1")))
+    p1s = [ProjBundleRing(SplitBundle(law, [u, u.context.zero()])) for law, u in lines]
+    items.append(compare("p1-pushforward", *(p1.pushforward(p1.context.one()) for p1 in p1s)))
+    items.append(compare("p1-formula", *(pushforward_p1_formula(law, u) for law, u in lines)))
     towers = zip(tower_classes(law_hi, depth), tower_classes(law_m, depth))
     items.extend(compare(f"tower-P{i}", tu, tm) for i, (tu, tm) in enumerate(towers))
 

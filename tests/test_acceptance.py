@@ -13,9 +13,9 @@ import time
 from fractions import Fraction
 from math import comb
 
+from occ import pushforward_p1_formula
 from occ.bundles import SplitBundle, whitney_check
 from occ.fgl import make_law
-from occ.oracles import pushforward_p1_formula
 from occ.projective import (
     ProjBundleRing,
     class_of_proj_line,

@@ -12,9 +12,9 @@ from fractions import Fraction
 
 import pytest
 
-from occ import bundles, fgl, specialization
+from occ import bundles, fgl, projective, specialization
 from occ.cli import SUITES, build_suite
-from occ.series import CalculusError, NotDivisible
+from occ.series import CalculusError, NotDivisible, Series
 from occ.specialization import SpecializationMap, todd_factor
 
 ORDERS = (3, 5)
@@ -38,6 +38,18 @@ def revert_one_weight_early(f, x):
     return g
 
 
+def line_class_at_u_u(law):
+    """`projective._line_class` evaluating b at (u, u) instead of (u, iota(u))."""
+    if "line" not in law._templates:
+        hi = law.at_truncation(law.truncation + 2)
+        minus_b = {(i - 1, j - 1, *m): -c for (i, j, *m), c in hi.F.terms.items() if i and j}
+        ctx = law.geometry_context(["u"])
+        u = ctx.var("u")
+        G = Series(hi.context, minus_b, _trusted=True)
+        law._templates["line"] = G.substitute({hi.x: u, hi.y: u}, into=ctx)
+    return law._templates["line"]
+
+
 def to_multiplicative_shifted(law):
     """The Todd map with m_i = 1/(i+2) instead of 1/(i+1)."""
     return SpecializationMap({v.name: Fraction(1, 2 - v.degree) for v in law.generators})
@@ -49,6 +61,7 @@ FAULTS = {
     "todd-factor-negated": (specialization, "todd_factor", lambda root: -todd_factor(root)),
     "todd-map-shifted": (SpecializationMap, "to_multiplicative", staticmethod(to_multiplicative_shifted)),
     "revert-one-weight-early": (fgl, "_revert", revert_one_weight_early),
+    "line-class-at-u-u": (projective, "_line_class", line_class_at_u_u),
 }
 
 # fault: {(suite, N): "fail" for a failed report, or the name of the raised error}
@@ -72,6 +85,7 @@ CAUGHT = {
         ("fgl-theorem", 3): NotDivisible.__name__,
         ("fgl-theorem", 5): NotDivisible.__name__,
     },
+    "line-class-at-u-u": {("fgl-theorem", 3): "fail", ("fgl-theorem", 5): "fail"},
 }
 
 

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from occ import fgl, pushforward_p1_formula
 from occ.bundles import SplitBundle, _random_root
 from occ.fgl import custom_law, make_law
-from occ.oracles import h_polys, log_coordinate_pushforward, pushforward_p1_formula
+from occ.oracles import h_polys, log_coordinate_pushforward
 from occ.projective import (
     ProjBundleRing,
     _random_element,
@@ -375,13 +376,31 @@ def test_tower_classes_restrict_from_one_order_up(kind):
 
 
 def test_class_of_proj_line_matches_direct_pushforward():
-    for kind, trunc in (("additive", 5), ("multiplicative", 5), ("universal", 4)):
-        law = make_law(kind, trunc)
-        ctx = law.geometry_context(["u"])
-        u = ctx.var("u")
-        ratio = class_of_proj_line(law, u)
-        direct = pushforward_p1_formula(law, u)
-        assert (ratio - direct).is_zero, kind
+    # the closed form the tower classes are built from vs a fresh residue
+    # pushforward of 1 on P(L + O), for the lines u, inv(u) and F(u, v)
+    for kind in ("additive", "multiplicative", "universal"):
+        for N in range(1, 7):
+            law = make_law(kind, N)
+            ctx = law.geometry_context(["u", "v"])
+            u, v = ctx.var("u"), ctx.var("v")
+            for name, line in (("u", u), ("inv(u)", law.inverse_at(u)), ("F(u,v)", law.apply(u, v))):
+                ring = ProjBundleRing(SplitBundle(law, [line, ctx.zero()]), "s")
+                direct = ring.pushforward(ring.context.one())
+                assert (class_of_proj_line(law, line) - direct).is_zero, (kind, N, name)
+
+
+def test_tower_and_line_classes_build_no_pushforward_template(monkeypatch):
+    # [P(L + O)] is read off the law's coefficients, so neither the tower
+    # classes (depth 7 at N = 5 raises the law) nor the class of a line
+    # build a residue template on any law they reach
+    monkeypatch.setattr(fgl, "_SHARED", {})
+    for kind in fgl.KINDS:
+        law = make_law(kind, 5)
+        tower_classes(law, 7)
+        class_of_proj_line(law, law.geometry_context(["u"]).var("u"))
+    keys = [key for law in fgl._SHARED.values() for key in law._templates]
+    assert keys.count("line") == 6
+    assert [key for key in keys if isinstance(key, tuple) and key[0] == "pushforward"] == []
 
 
 def test_geometric_fgl_additive_multiplicative():
