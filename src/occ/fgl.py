@@ -251,23 +251,26 @@ def _built_in(kind, gens, truncation) -> FormalGroupLaw:
     """The built-in law `kind` over the generator `Var`s `gens`, shared per arguments.
 
     The universal law is exp(log x + log y) for log(x) = x + sum m_i x^(i+1),
-    where m_i has degree -i; the other two are set in closed form.
+    where m_i has degree -i; the other two, inverses too, are in closed form.
     """
     key = (kind, gens, truncation)
     if type(truncation) is int and key in _SHARED:
         return _SHARED[key]
     ctx = Context((Var("x", 1, True), Var("y", 1, True)) + gens, truncation)
     xs, ys = ctx.var("x"), ctx.var("y")
+    closed = {}
     if kind == ADDITIVE:
         F, log, exp = xs + ys, xs, xs
+        closed["inverse"] = -xs
     elif kind == MULTIPLICATIVE:
         F, log, exp = xs + ys - xs * ys, -log1p_of(-xs), 1 - exp_of(-xs)
+        closed["inverse"] = xs * invert_unit(xs - 1)
     else:
         log = xs + sum_of_products(ctx, ((ctx.var(v.name), xs ** (1 - v.degree)) for v in gens))
         exp = _revert(log, "x")
         F = exp.substitute({"x": log + log.substitute({"x": ys})})
     law = FormalGroupLaw(F, kind)
-    law._templates.update(log=log, exp=exp)
+    law._templates.update(log=log, exp=exp, **closed)
     _SHARED[key] = law
     return law
 

@@ -57,7 +57,7 @@ from .series import (
     sum_of_products,
 )
 from .bundles import SplitBundle, _random_root
-from .fgl import KINDS, make_law
+from .fgl import ADDITIVE, KINDS, MULTIPLICATIVE, make_law
 from .reports import CheckItem, Report, agreement
 
 
@@ -271,10 +271,12 @@ def _line_class(law) -> Series:
 
     b(x, y) = (F(x, y) - x - y)/(xy) through weight N needs F through N + 2.
     A law that can be raised is built in, with x, y first and F(x, 0) = x,
-    F(0, y) = y, so b is F at N + 2 with its exponents of x and y shifted.
+    F(0, y) = y, so b is F at N + 2 with its exponents of x and y shifted;
+    the additive and multiplicative F are whole from N = 2 on, so F at N.
     """
     if "line" not in law._templates:
-        hi = law.at_truncation(law.truncation + 2)
+        N = law.truncation
+        hi = law if law.kind in (ADDITIVE, MULTIPLICATIVE) and N >= 2 else law.at_truncation(N + 2)
         minus_b = {(i - 1, j - 1, *m): -c for (i, j, *m), c in hi.F.terms.items() if i and j}
         ctx = law.geometry_context(["u"])
         u = ctx.var("u")

@@ -401,6 +401,9 @@ def test_tower_and_line_classes_build_no_pushforward_template(monkeypatch):
     keys = [key for law in fgl._SHARED.values() for key in law._templates]
     assert keys.count("line") == 6
     assert [key for key in keys if isinstance(key, tuple) and key[0] == "pushforward"] == []
+    # the quadratic F = x + y + b xy is whole from N = 2 on: no law raised to N + 2
+    quadratic = sorted(key[::2] for key in fgl._SHARED if key[0] != "universal")
+    assert quadratic == [("additive", 5), ("additive", 6), ("multiplicative", 5), ("multiplicative", 6)]
 
 
 def test_geometric_fgl_additive_multiplicative():
